@@ -1,0 +1,80 @@
+"""Golden determinism fixture: fixed CLI invocations pinned to output digests.
+
+Each case runs ``qfplab`` in-process, writes its report with ``--out`` and
+compares the sha256 of the report bytes against ``golden_digests.json``.
+A mismatch means the same configuration no longer produces the same report:
+either a regression, or a deliberate RNG-stream or format change.  In the
+latter case re-record the digests with ``python tests/test_golden.py`` and
+say in the change log why the stream moved.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from qfplab.cli import EXIT_OK, main
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+CASES = {
+    "swap-test": [
+        "swap-test", "--n", "4", "--x", "0101", "--y", "0110",
+        "--trials", "2000", "--seed", "1",
+    ],
+    "perm-test": [
+        "perm-test", "--k", "2", "--gamma", "0.3", "--trials", "2000",
+        "--seed", "2",
+    ],
+    "nearset": [
+        "nearset", "--n", "5", "--delta", "0.3", "--seeds", "2",
+        "--gram-size", "3", "--seed", "3",
+    ],
+    "codes": ["codes", "--n", "6"],
+    "smp-run-quantum": [
+        "smp-run", "--protocol", "quantum", "--n", "6", "--k", "3",
+        "--trials", "300", "--pair-source", "forced-unequal", "--seed", "42",
+    ],
+    "smp-run-shared-key-random-linear": [
+        "smp-run", "--protocol", "shared-key", "--code", "random-linear",
+        "--n", "8", "--c", "3", "--code-seed", "11", "--r", "4",
+        "--trials", "300", "--pair-source", "random-pairs", "--seed", "7",
+    ],
+    "smp-run-mixture-csv": [
+        "smp-run", "--protocol", "mixture", "--n", "5", "--trials", "500",
+        "--pair-source", "forced-equal", "--seed", "3", "--format", "csv",
+    ],
+    "smp-run-quantum-random-linear-table": [
+        "smp-run", "--protocol", "quantum", "--code", "random-linear",
+        "--n", "6", "--c", "2", "--code-seed", "4", "--k", "2",
+        "--trials", "200", "--pair-source", "random-pairs", "--seed", "9",
+        "--format", "table",
+    ],
+}
+
+
+def report_digest(argv: list[str], out_dir: Path) -> str:
+    path = out_dir / "report"
+    assert main(argv + ["--out", str(path)]) == EXIT_OK
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_cases_match_fixture():
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_digest(name, tmp_path):
+    expected = json.loads(DIGESTS.read_text())[name]
+    assert report_digest(CASES[name], tmp_path) == expected
+
+
+if __name__ == "__main__":
+    # Re-record the fixture from the current code (run from the repo root
+    # with src on PYTHONPATH).
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: report_digest(argv, Path(tmp))
+                   for name, argv in sorted(CASES.items())}
+    DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
