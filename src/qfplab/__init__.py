@@ -41,7 +41,6 @@ from .nearset import (
 )
 from .permtest import (
     PermTestOutcome,
-    PermTestSpec,
     build_hard_instance,
     distinguisher_lower_bound,
     helstrom_error,

@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from .codes import (
     BinaryCode,
+    _check_bits,
     certify_distance,
     hadamard_code,
     random_linear_code,
@@ -98,14 +99,6 @@ def _build_code(args: argparse.Namespace) -> BinaryCode:
     return random_linear_code(args.n, args.c, args.code_seed)
 
 
-def _parse_bits(value: str, n: int, flag: str) -> str:
-    if len(value) != n or any(ch not in "01" for ch in value):
-        raise QfpError(
-            f"{flag} must be a bit-string of length {n}, got {value!r}"
-        )
-    return value
-
-
 def _add_code_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--code", choices=("hadamard", "random-linear"),
                         default="hadamard")
@@ -126,8 +119,8 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_swap_test(args: argparse.Namespace) -> int:
     code = _build_code(args)
-    x = _parse_bits(args.x, code.n, "--x")
-    y = x if args.x_equals_y else _parse_bits(args.y, code.n, "--y")
+    x = _check_bits(args.x, code.n, "--x")
+    y = x if args.x_equals_y else _check_bits(args.y, code.n, "--y")
     fx, fy = make_fingerprint(code, x), make_fingerprint(code, y)
     analytic = swap_test_analytic(fx.state, fy.state)
     results: dict = {"analytic": analytic.to_json()}
@@ -173,6 +166,8 @@ def cmd_perm_test(args: argparse.Namespace) -> int:
 
 
 def cmd_smp_run(args: argparse.Namespace) -> int:
+    if args.pair and args.pair_source != "adversarial-list":
+        raise QfpError("--pair is only read with --pair-source adversarial-list")
     code = _build_code(args)
     pairs = None
     if args.pair:
@@ -206,6 +201,8 @@ def cmd_nearset(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise QfpError("set mode requires --n")
+        if args.seeds < 1:
+            raise QfpError(f"--seeds must be >= 1, got {args.seeds}")
         d = args.d if args.d is not None else required_dimension(args.n, args.delta)
         count = args.count if args.count is not None else 2**args.n
         if count > AUDIT_MAX_COUNT:

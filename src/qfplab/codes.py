@@ -207,26 +207,29 @@ def declared_code(
                       declared_delta=delta, encoder=encoder)
 
 
-def _message_vector(code: BinaryCode, x: str) -> np.ndarray:
-    # column j of the generator multiplies message character j (1-based)
-    return np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")
+def _codeword_bits(code: BinaryCode, x: str, idx=None) -> np.ndarray:
+    """Codeword bits of x at 0-based positions ``idx`` (all m when None), uint8.
 
-
-def _codeword_bits(code: BinaryCode, x: str) -> np.ndarray:
-    """Codeword as a uint8 array of length m."""
+    The only place a codeword bit is computed.  Hadamard bits are a masked
+    popcount and linear bits a generator-row product, so neither kind
+    materializes the full codeword when only some positions are asked for.
+    """
     if code.kind == HADAMARD:
-        x_int = np.uint64(int(x, 2))
-        idx = np.arange(code.m, dtype=np.uint64)
-        return (np.bitwise_count(idx & x_int) & np.uint64(1)).astype(np.uint8)
+        pos = np.arange(code.m, dtype=np.uint64) if idx is None else idx
+        masked = np.asarray(pos, dtype=np.uint64) & np.uint64(int(x, 2))
+        return (np.bitwise_count(masked) & np.uint64(1)).astype(np.uint8)
     if code.generator is not None:
-        v = _message_vector(code, x).astype(np.int64)
-        return ((code.generator.astype(np.int64) @ v) & 1).astype(np.uint8)
+        # column j of the generator multiplies message character j (1-based)
+        rows = code.generator if idx is None else code.generator[idx]
+        v = (np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")).astype(np.int64)
+        return ((rows.astype(np.int64) @ v) & 1).astype(np.uint8)
     word = code.encoder(x)  # type: ignore[misc]
     if len(word) != code.m or any(ch not in "01" for ch in word):
         raise InputShapeError(
             f"declared encoder returned an invalid codeword for x={x!r}"
         )
-    return np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
+    bits = np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
+    return bits if idx is None else bits[idx]
 
 
 def encode(code: BinaryCode, x: str) -> str:
@@ -239,18 +242,13 @@ def encode(code: BinaryCode, x: str) -> str:
 def bit_at(code: BinaryCode, x: str, i: int) -> int:
     """The i-th codeword bit, 1-based.
 
-    For hadamard codes this is a single masked popcount, so it costs O(1)
-    work per query and never materializes the 2^n-bit codeword.
+    For hadamard and linear codes only position i is computed, so the
+    m-bit codeword is never materialized.
     """
     _check_bits(x, code.n, "x")
     if not 1 <= i <= code.m:
         raise InputShapeError(f"index i must lie in 1..{code.m}, got {i}")
-    if code.kind == HADAMARD:
-        return ((i - 1) & int(x, 2)).bit_count() & 1
-    if code.generator is not None:
-        v = _message_vector(code, x)
-        return int(code.generator[i - 1] @ v.astype(np.int64)) & 1
-    return int(_codeword_bits(code, x)[i - 1])
+    return int(_codeword_bits(code, x, [i - 1])[0])
 
 
 def agreement_fraction(code: BinaryCode, x: str, y: str) -> Fraction:
@@ -287,11 +285,9 @@ class DistanceCertificate:
         }
 
 
-def _hadamard_column(n: int, b: int) -> int:
-    """Codeword of message 2^b as a bit-mask over the 2^n positions."""
-    bits = ((np.arange(2**n, dtype=np.uint64) >> np.uint64(b)) & np.uint64(1))
-    packed = np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
-    return int.from_bytes(packed, "little")
+def _packed(bits: np.ndarray) -> int:
+    """A codeword as a bit-mask, position 0 in the low bit."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _min_nonzero_weight(columns: list[int], n: int) -> int:
@@ -330,16 +326,9 @@ def certify_distance(code: BinaryCode) -> DistanceCertificate:
             f"declared delta bound instead."
         )
     if code.is_linear:
-        if code.kind == HADAMARD:
-            columns = [_hadamard_column(code.n, b) for b in range(code.n)]
-        else:
-            gen = code.generator
-            columns = [
-                int.from_bytes(
-                    np.packbits(gen[:, j], bitorder="little").tobytes(), "little"
-                )
-                for j in range(code.n)
-            ]
+        # the generator columns are the codewords of the n unit messages
+        columns = [_packed(_codeword_bits(code, format(1 << b, f"0{code.n}b")))
+                   for b in range(code.n)]
         dist = _min_nonzero_weight(columns, code.n)
         return DistanceCertificate(
             min_distance=dist,
@@ -347,11 +336,8 @@ def certify_distance(code: BinaryCode) -> DistanceCertificate:
             method="weight-enumeration",
             m=code.m,
         )
-    words = []
-    for v in range(2**code.n):
-        bits = _codeword_bits(code, format(v, f"0{code.n}b"))
-        words.append(int.from_bytes(
-            np.packbits(bits, bitorder="little").tobytes(), "little"))
+    words = [_packed(_codeword_bits(code, format(v, f"0{code.n}b")))
+             for v in range(2**code.n)]
     if len(set(words)) != len(words):
         raise DomainError("declared encoder is not injective")
     dist = min(

@@ -10,7 +10,7 @@ overlap are linearly independent via strict diagonal dominance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import ceil, comb, exp, floor, log2
 from math import e as _E
@@ -107,16 +107,7 @@ class OverlapAudit:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "count": self.count,
-            "delta": self.delta,
-            "max_abs_overlap": self.max_abs_overlap,
-            "violating_pairs": self.violating_pairs,
-            "total_pairs": self.total_pairs,
-            "chernoff_bound": self.chernoff_bound,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _violation_threshold(d: int, delta: float) -> int:

@@ -33,20 +33,6 @@ _MAX_PROJECTION_WORK = 4_000_000_000
 
 
 @dataclass(frozen=True)
-class PermTestSpec:
-    """Copies per state and the promised overlap bound."""
-
-    k: int
-    delta: float | Fraction
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"copy count k must be >= 1, got {self.k}")
-        if not 0 <= self.delta <= 1:
-            raise DomainError(f"delta must lie in [0,1], got {self.delta}")
-
-
-@dataclass(frozen=True)
 class PermTestOutcome:
     p_equal: float
     method: str

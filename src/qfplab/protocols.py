@@ -17,14 +17,13 @@ exact theory values alongside.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 
 from .codes import (
-    HADAMARD,
     BinaryCode,
     _check_bits,
     _codeword_bits,
@@ -32,7 +31,7 @@ from .codes import (
     certify_distance,
 )
 from .errors import ConfigError
-from .qstate import make_fingerprint, qubits_required
+from .qstate import _check_fingerprint_length, qubits_required
 
 PROTOCOLS = ("quantum", "shared-key", "mixture")
 PAIR_SOURCES = ("random-pairs", "forced-equal", "forced-unequal", "adversarial-list")
@@ -55,17 +54,6 @@ class ProtocolVerdict:
     cost_bob: int
 
 
-def _bits_at(code: BinaryCode, x: str, idx: np.ndarray) -> np.ndarray:
-    """Codeword bits at 0-based positions without materializing long words."""
-    if code.kind == HADAMARD:
-        masked = idx.astype(np.uint64) & np.uint64(int(x, 2))
-        return (np.bitwise_count(masked) & np.uint64(1)).astype(np.uint8)
-    if code.generator is not None:
-        v = (np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")).astype(np.int64)
-        return ((code.generator[idx].astype(np.int64) @ v) & 1).astype(np.uint8)
-    return _codeword_bits(code, x)[idx]
-
-
 def quantum_accept_probability(code: BinaryCode, x: str, y: str) -> Fraction:
     """Exact per-repetition accept probability (1 + <h_x|h_y>^2) / 2."""
     g = agreement_fraction(code, x, y)
@@ -75,21 +63,22 @@ def quantum_accept_probability(code: BinaryCode, x: str, y: str) -> Fraction:
 def run_quantum_smp(
     code: BinaryCode, x: str, y: str, k: int, seed
 ) -> ProtocolVerdict:
-    """Fingerprint both inputs and run k independent swap tests.
+    """Run k independent swap tests on the fingerprints of both inputs.
 
     The verdict is unequal as soon as any repetition measures 1.  Outcome
-    draws use the exact rational overlap of the two fingerprints, so equal
-    inputs are accepted with probability exactly 1 (one-sided error).
+    draws use the exact rational overlap of the two fingerprints (the
+    codeword agreement fraction), so no fingerprint state is built, and
+    equal inputs are accepted with probability exactly 1 (one-sided error).
     """
     if k < 1:
         raise ConfigError(f"quantum protocol needs k >= 1 repetitions, got {k}")
-    fx = make_fingerprint(code, x)
-    fy = make_fingerprint(code, y)
+    _check_bits(x, code.n, "x")
+    _check_bits(y, code.n, "y")
+    _check_fingerprint_length(code)
     p_one = float(1 - quantum_accept_probability(code, x, y))
     rng = np.random.default_rng(seed)
     saw_one = bool(np.any(rng.random(k) < p_one))
-    cost = k * fx.qubit_count
-    assert fy.qubit_count == fx.qubit_count
+    cost = k * qubits_required(code)
     return ProtocolVerdict(
         verdict=UNEQUAL if saw_one else EQUAL,
         truth=EQUAL if x == y else UNEQUAL,
@@ -112,7 +101,8 @@ def run_classical_shared_key(
     _check_bits(y, code.n, "y")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, code.m, size=r)
-    match = bool(np.array_equal(_bits_at(code, x, idx), _bits_at(code, y, idx)))
+    match = bool(np.array_equal(_codeword_bits(code, x, idx),
+                                _codeword_bits(code, y, idx)))
     return ProtocolVerdict(
         verdict=EQUAL if match else UNEQUAL,
         truth=EQUAL if x == y else UNEQUAL,
@@ -136,15 +126,11 @@ def run_classical_mixture(
     rng = np.random.default_rng(seed)
     i = int(rng.integers(code.m))
     j = int(rng.integers(code.m))
-    if i == j:
-        bx = int(_bits_at(code, x, np.array([i]))[0])
-        by = int(_bits_at(code, y, np.array([j]))[0])
-        verdict = EQUAL if bx == by else UNEQUAL
-    else:
-        verdict = UNEQUAL
+    match = i == j and np.array_equal(_codeword_bits(code, x, [i]),
+                                      _codeword_bits(code, y, [j]))
     cost = (code.m - 1).bit_length() + 1
     return ProtocolVerdict(
-        verdict=verdict,
+        verdict=EQUAL if match else UNEQUAL,
         truth=EQUAL if x == y else UNEQUAL,
         cost_alice=cost,
         cost_bob=cost,
@@ -183,22 +169,7 @@ class ExperimentReport:
     message_cost: dict
 
     def to_json(self) -> dict:
-        return {
-            "protocol_id": self.protocol_id,
-            "code": self.code,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "pair_source": self.pair_source,
-            "params": self.params,
-            "trials_equal": self.trials_equal,
-            "trials_unequal": self.trials_unequal,
-            "empirical_error_equal": self.empirical_error_equal,
-            "empirical_error_unequal": self.empirical_error_unequal,
-            "theory_error_bound": self.theory_error_bound,
-            "confidence_radius": self.confidence_radius,
-            "message_cost": self.message_cost,
-        }
+        return asdict(self)
 
     def json_str(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"

@@ -40,6 +40,10 @@ class TestSwapTest:
         assert code == EXIT_USAGE
         assert "--x" in capsys.readouterr().err
 
+    def test_missing_y_exit_2(self, capsys):
+        assert main(["swap-test", "--n", "4", "--x", "0101"]) == EXIT_USAGE
+        assert "--y" in capsys.readouterr().err
+
     def test_capability_guard_exit_3(self):
         code = main(["swap-test", "--n", "21", "--x", "0" * 21, "--x-equals-y"])
         assert code == EXIT_CAPABILITY
@@ -109,6 +113,12 @@ class TestSmpRun:
                      "--trials", "10"])
         assert code == EXIT_USAGE
 
+    def test_pair_without_adversarial_list_exit_2(self, capsys):
+        code = main(["smp-run", "--protocol", "shared-key", "--n", "4",
+                     "--r", "2", "--trials", "10", "--pair", "0000:1111"])
+        assert code == EXIT_USAGE
+        assert "--pair" in capsys.readouterr().err
+
     def test_mixture_forced_equal(self, tmp_path):
         report = run_json(tmp_path, [
             "smp-run", "--protocol", "mixture", "--n", "4",
@@ -130,6 +140,12 @@ class TestNearset:
         assert len(results["audits"]) == 3
         for audit in results["audits"]:
             assert audit["total_pairs"] == 64 * 63 // 2
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_set_mode_needs_a_seed_exit_2(self, seeds, capsys):
+        code = main(["nearset", "--n", "4", "--delta", "0.3", "--seeds", seeds])
+        assert code == EXIT_USAGE
+        assert "--seeds" in capsys.readouterr().err
 
     def test_pair_mode(self, tmp_path):
         report = run_json(tmp_path, [

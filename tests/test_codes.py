@@ -60,13 +60,28 @@ class TestEncode:
             encode(hadamard_code(2), "0x")
 
 
+# One code per branch of the codeword-bit kernel, all with m = 16; the
+# random-linear code is the original case and keeps bare index ids.
+BIT_KERNEL_CODES = {
+    "": random_linear_code(4, 4, seed=5),
+    "hadamard4": hadamard_code(4),
+    "declared-generator": declared_code(
+        4, 16, generator=random_linear_code(4, 4, seed=6).generator),
+    "declared-encoder": declared_code(
+        4, 16, encoder=lambda x: x * 3 + "0110"),
+}
+
+
 class TestBitAt:
     def test_hadamard_n2_from_codeword(self):
         assert bit_at(hadamard_code(2), "11", 2) == 1
 
-    @pytest.mark.parametrize("i", [1, 3, 7, 16])
-    def test_consistency_with_encode(self, i):
-        code = random_linear_code(4, 4, seed=5)
+    @pytest.mark.parametrize("code, i", [
+        pytest.param(code, i, id=f"{name}-{i}" if name else str(i))
+        for name, code in BIT_KERNEL_CODES.items()
+        for i in (1, 3, 7, 16)
+    ])
+    def test_consistency_with_encode(self, code, i):
         word = encode(code, "1011")
         assert bit_at(code, "1011", i) == int(word[i - 1])
 
@@ -106,7 +121,8 @@ class TestCertifyDistance:
         hadamard_code(4),
         random_linear_code(5, 3, seed=2),
         repetition_code(4, 2),
-    ], ids=["hadamard4", "random-linear5", "repetition4x2"])
+        declared_code(4, 12, generator=random_linear_code(4, 3, seed=8).generator),
+    ], ids=["hadamard4", "random-linear5", "repetition4x2", "declared-generator"])
     def test_matches_pairwise_oracle(self, code):
         assert certify_distance(code).min_distance == pairwise_min_distance(code)
 

@@ -7,7 +7,6 @@ import pytest
 from qfplab import (
     CapabilityError,
     DomainError,
-    PermTestSpec,
     PureState,
     build_hard_instance,
     distinguisher_lower_bound,
@@ -227,14 +226,6 @@ class TestHardInstance:
 
 
 class TestSpec:
-    def test_spec_validation(self):
-        spec = PermTestSpec(k=3, delta=0.4)
-        assert spec.k == 3
-        with pytest.raises(DomainError):
-            PermTestSpec(k=0, delta=0.4)
-        with pytest.raises(DomainError):
-            PermTestSpec(k=1, delta=1.5)
-
     def test_reduction_to_swap_test(self):
         phi = random_state(4, seed=71)
         psi = random_state(4, seed=72)

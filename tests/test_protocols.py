@@ -1,10 +1,12 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
 from qfplab import (
+    CapabilityError,
     ConfigError,
     agreement_fraction,
     certify_distance,
@@ -185,6 +187,15 @@ class TestRunExperiment:
             if abs(rep.empirical_error_unequal - p) > radius:
                 misses += 1
         assert misses <= 1
+
+    def test_quantum_fingerprint_guard_fails_fast(self):
+        # m = 2^21 is above the fingerprint guard; without it the run would
+        # go on to the 2^21-word certification walk
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match="fingerprint guard"):
+            run_experiment("quantum", hadamard_code(21), 10, "forced-unequal",
+                           seed=0, k=1)
+        assert time.perf_counter() - start < 5.0
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigError):
