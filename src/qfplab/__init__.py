@@ -53,13 +53,9 @@ from .permtest import (
 )
 from .protocols import (
     ExperimentReport,
-    ProtocolVerdict,
     message_costs,
     quantum_accept_probability,
-    run_classical_mixture,
-    run_classical_shared_key,
     run_experiment,
-    run_quantum_smp,
 )
 from .qstate import (
     Fingerprint,

@@ -168,6 +168,10 @@ def cmd_perm_test(args: argparse.Namespace) -> int:
 def cmd_smp_run(args: argparse.Namespace) -> int:
     if args.pair and args.pair_source != "adversarial-list":
         raise QfpError("--pair is only read with --pair-source adversarial-list")
+    if args.k is not None and args.protocol != "quantum":
+        raise QfpError("--k is only read with --protocol quantum")
+    if args.r is not None and args.protocol != "shared-key":
+        raise QfpError("--r is only read with --protocol shared-key")
     code = _build_code(args)
     pairs = None
     if args.pair:
@@ -179,9 +183,7 @@ def cmd_smp_run(args: argparse.Namespace) -> int:
             pairs.append((px, py))
     report = run_experiment(
         args.protocol, code, args.trials, args.pair_source, args.seed,
-        k=args.k if args.protocol == "quantum" else None,
-        r=args.r if args.protocol == "shared-key" else None,
-        pairs=pairs,
+        k=args.k, r=args.r, pairs=pairs,
     )
     wrapped = _wrap("smp-run", args, report.to_json())
     wrapped["results"]["message_cost_summary"] = message_costs(

@@ -31,6 +31,8 @@ DECLARED = "declared"
 
 # Largest message length for which we enumerate all 2^n - 1 nonzero encodings.
 CERTIFY_MAX_N = 24
+# Hadamard positions are codeword rows of one 64-bit word each.
+HADAMARD_MAX_N = 63
 
 
 def _check_bits(s: str, n: int, name: str) -> str:
@@ -79,6 +81,11 @@ class BinaryCode:
         if self.n < 1:
             raise DomainError(f"message length must be >= 1, got {self.n}")
         if self.kind == HADAMARD:
+            if self.n > HADAMARD_MAX_N:
+                raise CapabilityError(
+                    f"hadamard positions must fit a 64-bit integer; guard is "
+                    f"n <= {HADAMARD_MAX_N}, got n={self.n}"
+                )
             if self.m != 2**self.n:
                 raise DomainError(
                     f"hadamard codes have m = 2^n; got m={self.m}, n={self.n}"
@@ -207,29 +214,56 @@ def declared_code(
                       declared_delta=delta, encoder=encoder)
 
 
-def _codeword_bits(code: BinaryCode, x: str, idx=None) -> np.ndarray:
-    """Codeword bits of x at 0-based positions ``idx`` (all m when None), uint8.
+def _bit_row(x: str) -> np.ndarray:
+    return np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")
 
-    The only place a codeword bit is computed.  Hadamard bits are a masked
-    popcount and linear bits a generator-row product, so neither kind
-    materializes the full codeword when only some positions are asked for.
+
+def _packed_words(bits: np.ndarray) -> np.ndarray:
+    """0/1 rows as the uint64 words of the number each row spells MSB-first.
+
+    Column 0 is the most significant bit and word 0 holds the lowest 64
+    bits, so a row of at most 64 bits packs to one word: x to int(x, 2).
     """
-    if code.kind == HADAMARD:
-        pos = np.arange(code.m, dtype=np.uint64) if idx is None else idx
-        masked = np.asarray(pos, dtype=np.uint64) & np.uint64(int(x, 2))
-        return (np.bitwise_count(masked) & np.uint64(1)).astype(np.uint8)
-    if code.generator is not None:
-        # column j of the generator multiplies message character j (1-based)
-        rows = code.generator if idx is None else code.generator[idx]
-        v = (np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")).astype(np.int64)
-        return ((rows.astype(np.int64) @ v) & 1).astype(np.uint8)
+    words = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64),), dtype="<u8")
+    packed = np.packbits(bits[..., ::-1], axis=-1, bitorder="little")
+    words.view(np.uint8)[..., :packed.shape[-1]] = packed
+    return words.astype(np.uint64, copy=False)
+
+
+def _declared_word(code: BinaryCode, row: np.ndarray) -> np.ndarray:
+    x = (row + ord("0")).tobytes().decode()
     word = code.encoder(x)  # type: ignore[misc]
     if len(word) != code.m or any(ch not in "01" for ch in word):
         raise InputShapeError(
             f"declared encoder returned an invalid codeword for x={x!r}"
         )
-    bits = np.frombuffer(word.encode(), dtype=np.uint8) - ord("0")
-    return bits if idx is None else bits[idx]
+    return _bit_row(word)
+
+
+def _codeword_bits(code: BinaryCode, x, idx=None) -> np.ndarray:
+    """Codeword bits at 0-based positions ``idx`` (all m when None), uint8.
+
+    ``x`` is one bit-string, with ``idx`` of shape (r,), or a (B, n) uint8
+    batch of messages, with ``idx`` of shape (B, r).  The only place a
+    codeword bit is computed.  For linear codes bit i is the parity of
+    popcount(row_i & x), where row_i is generator row i packed MSB-first
+    (for hadamard, row_i is i itself), so no full codeword is built when
+    only some positions are asked for.  Declared encoders run per message.
+    """
+    if isinstance(x, str):
+        batch_idx = None if idx is None else np.asarray(idx)[None]
+        return _codeword_bits(code, _bit_row(x)[None], batch_idx)[0]
+    if not code.is_linear:
+        words = np.stack([_declared_word(code, row) for row in x])
+        return words if idx is None else np.take_along_axis(words, idx, axis=1)
+    if code.kind == HADAMARD:
+        pos = np.arange(code.m) if idx is None else idx
+        rows = np.asarray(pos, dtype=np.uint64)[..., None]
+    else:
+        rows = _packed_words(code.generator)
+        rows = rows if idx is None else rows[idx]
+    counts = np.bitwise_count(rows & _packed_words(x)[:, None, :])
+    return np.bitwise_xor.reduce(counts, axis=-1) & 1
 
 
 def encode(code: BinaryCode, x: str) -> str:
@@ -251,18 +285,21 @@ def bit_at(code: BinaryCode, x: str, i: int) -> int:
     return int(_codeword_bits(code, x, [i - 1])[0])
 
 
+def _agreements(code: BinaryCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Agreeing-position count of each row pair of two (B, n) batches, int64."""
+    if code.is_linear:
+        # linearity: positions of agreement = m - weight(E(x XOR y))
+        return code.m - _codeword_bits(code, x ^ y).sum(axis=1, dtype=np.int64)
+    return (_codeword_bits(code, x) == _codeword_bits(code, y)).sum(
+        axis=1, dtype=np.int64)
+
+
 def agreement_fraction(code: BinaryCode, x: str, y: str) -> Fraction:
     """Exact fraction of positions where the codewords of x and y agree."""
     _check_bits(x, code.n, "x")
     _check_bits(y, code.n, "y")
-    if code.is_linear:
-        # linearity: positions of agreement = m - weight(E(x XOR y))
-        z = format(int(x, 2) ^ int(y, 2), f"0{code.n}b")
-        weight = int(_codeword_bits(code, z).sum())
-        return Fraction(code.m - weight, code.m)
-    wx = _codeword_bits(code, x)
-    wy = _codeword_bits(code, y)
-    return Fraction(int((wx == wy).sum()), code.m)
+    agree = _agreements(code, _bit_row(x)[None], _bit_row(y)[None])[0]
+    return Fraction(int(agree), code.m)
 
 
 @dataclass(frozen=True)

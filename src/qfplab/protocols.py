@@ -10,8 +10,10 @@ referee, who outputs "equal" or "unequal":
                 positions: the classical-mixture failure mode, where the
                 informative collision happens with probability 1/m.
 
-A seeded experiment runner aggregates per-trial verdicts into reports with
-exact theory values alongside.
+A seeded block engine runs trials in blocks, one generator per block: a
+block's inputs, keys and referee coins are arrays, its verdicts one
+vectorised rule per protocol.  Reports aggregate them with exact theory
+values alongside.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import numpy as np
 
 from .codes import (
     BinaryCode,
+    _agreements,
+    _bit_row,
     _check_bits,
     _codeword_bits,
     agreement_fraction,
@@ -36,105 +40,11 @@ from .qstate import _check_fingerprint_length, qubits_required
 PROTOCOLS = ("quantum", "shared-key", "mixture")
 PAIR_SOURCES = ("random-pairs", "forced-equal", "forced-unequal", "adversarial-list")
 
-EQUAL = "equal"
-UNEQUAL = "unequal"
-
-
-@dataclass(frozen=True)
-class ProtocolVerdict:
-    """One protocol run: referee verdict, ground truth, per-party message cost.
-
-    Costs are qubits for the quantum protocol and bits otherwise; shared-key
-    costs exclude the key, which is accounted separately in message_costs.
-    """
-
-    verdict: str
-    truth: str
-    cost_alice: int
-    cost_bob: int
-
 
 def quantum_accept_probability(code: BinaryCode, x: str, y: str) -> Fraction:
     """Exact per-repetition accept probability (1 + <h_x|h_y>^2) / 2."""
     g = agreement_fraction(code, x, y)
     return (1 + g * g) / 2
-
-
-def run_quantum_smp(
-    code: BinaryCode, x: str, y: str, k: int, seed
-) -> ProtocolVerdict:
-    """Run k independent swap tests on the fingerprints of both inputs.
-
-    The verdict is unequal as soon as any repetition measures 1.  Outcome
-    draws use the exact rational overlap of the two fingerprints (the
-    codeword agreement fraction), so no fingerprint state is built, and
-    equal inputs are accepted with probability exactly 1 (one-sided error).
-    """
-    if k < 1:
-        raise ConfigError(f"quantum protocol needs k >= 1 repetitions, got {k}")
-    _check_bits(x, code.n, "x")
-    _check_bits(y, code.n, "y")
-    _check_fingerprint_length(code)
-    p_one = float(1 - quantum_accept_probability(code, x, y))
-    rng = np.random.default_rng(seed)
-    saw_one = bool(np.any(rng.random(k) < p_one))
-    cost = k * qubits_required(code)
-    return ProtocolVerdict(
-        verdict=UNEQUAL if saw_one else EQUAL,
-        truth=EQUAL if x == y else UNEQUAL,
-        cost_alice=cost,
-        cost_bob=cost,
-    )
-
-
-def run_classical_shared_key(
-    code: BinaryCode, x: str, y: str, r: int, seed
-) -> ProtocolVerdict:
-    """Compare codeword bits at r shared uniformly random positions.
-
-    The key (the positions) is drawn fresh per run and never reported; the
-    message cost is the r bits each party sends.
-    """
-    if r < 1:
-        raise ConfigError(f"shared-key protocol needs r >= 1 indices, got {r}")
-    _check_bits(x, code.n, "x")
-    _check_bits(y, code.n, "y")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, code.m, size=r)
-    match = bool(np.array_equal(_codeword_bits(code, x, idx),
-                                _codeword_bits(code, y, idx)))
-    return ProtocolVerdict(
-        verdict=EQUAL if match else UNEQUAL,
-        truth=EQUAL if x == y else UNEQUAL,
-        cost_alice=r,
-        cost_bob=r,
-    )
-
-
-def run_classical_mixture(
-    code: BinaryCode, x: str, y: str, seed
-) -> ProtocolVerdict:
-    """Send (i, E_i(x)) and (j, E_j(y)) at independent uniform positions.
-
-    The referee can only confirm equality on a position collision, so it
-    answers equal iff i = j and the bits match.  This is the no-inference
-    referee: with independent randomness the informative event i = j has
-    probability exactly 1/m, which is the failure mode on display.
-    """
-    _check_bits(x, code.n, "x")
-    _check_bits(y, code.n, "y")
-    rng = np.random.default_rng(seed)
-    i = int(rng.integers(code.m))
-    j = int(rng.integers(code.m))
-    match = i == j and np.array_equal(_codeword_bits(code, x, [i]),
-                                      _codeword_bits(code, y, [j]))
-    cost = (code.m - 1).bit_length() + 1
-    return ProtocolVerdict(
-        verdict=EQUAL if match else UNEQUAL,
-        truth=EQUAL if x == y else UNEQUAL,
-        cost_alice=cost,
-        cost_bob=cost,
-    )
 
 
 def message_costs(code: BinaryCode, k: int = 1, r: int = 1) -> dict:
@@ -197,10 +107,6 @@ class ExperimentReport:
                         else str(v) for v in values)
 
 
-def _sample_bits(rng: np.random.Generator, n: int) -> str:
-    return "".join("1" if b else "0" for b in rng.integers(0, 2, size=n))
-
-
 def _theory_bound(protocol_id: str, code: BinaryCode,
                   k: int | None, r: int | None) -> float | None:
     if protocol_id == "mixture":
@@ -209,6 +115,63 @@ def _theory_bound(protocol_id: str, code: BinaryCode,
     if protocol_id == "quantum":
         return float(((1 + delta * delta) / 2) ** k)
     return float(delta**r)
+
+
+def _sample_pairs(rng: np.random.Generator, pair_source: str, n: int, size: int,
+                  t0: int, table) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs of trials t0 .. t0+size-1 as two (size, n) uint8 arrays."""
+    if pair_source == "adversarial-list":
+        rows = (t0 + np.arange(size)) % len(table[0])
+        return table[0][rows], table[1][rows]
+    x = rng.integers(0, 2, (size, n), dtype=np.uint8)
+    if pair_source == "forced-equal":
+        return x, x
+    y = rng.integers(0, 2, (size, n), dtype=np.uint8)
+    if pair_source == "forced-unequal":
+        same = (x == y).all(axis=1)
+        while same.any():
+            y[same] = rng.integers(0, 2, (int(same.sum()), n), dtype=np.uint8)
+            same = (x == y).all(axis=1)
+    return x, y
+
+
+def _block_accepts(protocol_id: str, code: BinaryCode, x: np.ndarray,
+                   y: np.ndarray, rng: np.random.Generator,
+                   k: int | None, r: int | None) -> np.ndarray:
+    """The referee's verdicts on one block of pairs: True where it says equal."""
+    m, size = code.m, len(x)
+    if protocol_id == "quantum":
+        # Unequal on any of k swap tests measuring 1, which happens with
+        # probability (1 - g^2)/2 = (m^2 - a^2)/(2m^2) at agreement a = g*m.
+        # With m within the fingerprint guard 2^20 both are exact floats, so
+        # p_one is the exact rational correctly rounded.  Full codewords are
+        # built for ⌊2^14/m⌋ pairs at a time.
+        step = max(1, (1 << 14) // m)
+        agree = np.concatenate([_agreements(code, x[t:t + step], y[t:t + step])
+                                for t in range(0, size, step)])
+        p_one = (m * m - agree * agree) / (2 * m * m)
+        return ~(rng.random((size, k)) < p_one[:, None]).any(axis=1)
+    if protocol_id == "shared-key":
+        idx = rng.integers(0, m, (size, r))
+        same = _codeword_bits(code, x, idx) == _codeword_bits(code, y, idx)
+        return same.all(axis=1)
+    # Mixture: (i, E_i(x)) against (j, E_j(y)) at independent positions.  The
+    # no-inference referee can only confirm equality on a collision i = j,
+    # an event of probability exactly 1/m: the failure mode on display.
+    i = rng.integers(0, m, (size, 1))
+    j = rng.integers(0, m, (size, 1))
+    same = _codeword_bits(code, x, i) == _codeword_bits(code, y, j)
+    return (same & (i == j))[:, 0]
+
+
+# Trials per block; each block draws from its own generator.  At 256 a
+# block's arrays stay under 80 KB; larger blocks raise the peak RSS of a long
+# in-process run of requests (1024: about +0.4 MB over 3000 requests).
+BLOCK = 256
+
+_COST_KEYS = {"quantum": "quantum_qubits",
+              "shared-key": "shared_key_message_bits",
+              "mixture": "mixture_bits"}
 
 
 def run_experiment(
@@ -223,10 +186,13 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run ``trials`` seeded protocol executions and aggregate error rates.
 
-    Every trial gets its own generator derived from (seed, trial index), so
-    reports are reproducible and trials could run in any order.  The
-    adversarial-list source cycles deterministically through the supplied
-    pairs; the other sources draw inputs from the trial generator.
+    Trials run in blocks of ``BLOCK``; each block gets its own generator
+    derived from (seed, block index) and draws its inputs and coin flips as
+    arrays, so reports are reproducible and blocks could run in any order.
+    The adversarial-list source cycles deterministically through the
+    supplied pairs by trial index; the other sources draw inputs from the
+    block generator.  The shared-key key and the referee's coins are drawn
+    fresh per trial and never reported.
     """
     if protocol_id not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol_id!r}; expected {PROTOCOLS}")
@@ -239,73 +205,49 @@ def run_experiment(
     if protocol_id == "quantum":
         if k is None or k < 1:
             raise ConfigError("quantum protocol needs k >= 1 repetitions")
+        _check_fingerprint_length(code)
     elif protocol_id == "shared-key":
         if r is None or r < 1:
             raise ConfigError("shared-key protocol needs r >= 1 indices")
+    table = None
     if pair_source == "adversarial-list":
         if not pairs:
             raise ConfigError("adversarial-list pair source needs explicit pairs")
-        for px, py in pairs:
-            _check_bits(px, code.n, "x")
-            _check_bits(py, code.n, "y")
+        table = tuple(
+            np.stack([_bit_row(_check_bits(p[side], code.n, name)) for p in pairs])
+            for side, name in ((0, "x"), (1, "y"))
+        )
 
-    n = code.n
-    counts = {EQUAL: 0, UNEQUAL: 0}
-    wrong = {EQUAL: 0, UNEQUAL: 0}
-    cost_alice = cost_bob = 0
-    for t in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
-        if pair_source == "adversarial-list":
-            x, y = pairs[t % len(pairs)]
-        elif pair_source == "forced-equal":
-            x = _sample_bits(rng, n)
-            y = x
-        elif pair_source == "forced-unequal":
-            x = _sample_bits(rng, n)
-            y = x
-            while y == x:
-                y = _sample_bits(rng, n)
-        else:
-            x = _sample_bits(rng, n)
-            y = _sample_bits(rng, n)
-        if protocol_id == "quantum":
-            v = run_quantum_smp(code, x, y, k, rng)
-        elif protocol_id == "shared-key":
-            v = run_classical_shared_key(code, x, y, r, rng)
-        else:
-            v = run_classical_mixture(code, x, y, rng)
-        counts[v.truth] += 1
-        if v.verdict != v.truth:
-            wrong[v.truth] += 1
-        cost_alice, cost_bob = v.cost_alice, v.cost_bob
+    n_equal = wrong_equal = wrong_unequal = 0
+    for block, t0 in enumerate(range(0, trials, BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
+        x, y = _sample_pairs(rng, pair_source, code.n,
+                             min(BLOCK, trials - t0), t0, table)
+        accept = _block_accepts(protocol_id, code, x, y, rng, k, r)
+        equal = (x == y).all(axis=1)
+        n_equal += int(equal.sum())
+        wrong_equal += int((equal & ~accept).sum())
+        wrong_unequal += int((~equal & accept).sum())
+    n_unequal = trials - n_equal
 
-    err_eq = wrong[EQUAL] / counts[EQUAL] if counts[EQUAL] else None
-    err_ne = wrong[UNEQUAL] / counts[UNEQUAL] if counts[UNEQUAL] else None
-    if counts[UNEQUAL]:
-        radius = 3.0 * sqrt(err_ne * (1.0 - err_ne) / counts[UNEQUAL])
-    elif counts[EQUAL]:
-        radius = 3.0 * sqrt(err_eq * (1.0 - err_eq) / counts[EQUAL])
-    else:
-        radius = None
-
-    params: dict = {}
-    if k is not None:
-        params["k"] = k
-    if r is not None:
-        params["r"] = r
+    err_eq = wrong_equal / n_equal if n_equal else None
+    err_ne = wrong_unequal / n_unequal if n_unequal else None
+    err, count = (err_ne, n_unequal) if n_unequal else (err_eq, n_equal)
+    params = {name: v for name, v in (("k", k), ("r", r)) if v is not None}
+    cost = message_costs(code, k=k or 1, r=r or 1)[_COST_KEYS[protocol_id]]
     return ExperimentReport(
         protocol_id=protocol_id,
         code=code.to_json(),
-        n=n,
+        n=code.n,
         trials=trials,
         seed=seed,
         pair_source=pair_source,
         params=params,
-        trials_equal=counts[EQUAL],
-        trials_unequal=counts[UNEQUAL],
+        trials_equal=n_equal,
+        trials_unequal=n_unequal,
         empirical_error_equal=err_eq,
         empirical_error_unequal=err_ne,
         theory_error_bound=_theory_bound(protocol_id, code, k, r),
-        confidence_radius=radius,
-        message_cost={"alice": cost_alice, "bob": cost_bob},
+        confidence_radius=3.0 * sqrt(err * (1.0 - err) / count),
+        message_cost={"alice": cost, "bob": cost},
     )

@@ -119,6 +119,27 @@ class TestSmpRun:
         assert code == EXIT_USAGE
         assert "--pair" in capsys.readouterr().err
 
+    def test_k_without_quantum_exit_2(self, capsys):
+        code = main(["smp-run", "--protocol", "shared-key", "--n", "4",
+                     "--r", "2", "--k", "3", "--trials", "10"])
+        assert code == EXIT_USAGE
+        assert "--k" in capsys.readouterr().err
+
+    def test_r_without_shared_key_exit_2(self, capsys):
+        code = main(["smp-run", "--protocol", "quantum", "--n", "4",
+                     "--k", "2", "--r", "3", "--trials", "10"])
+        assert code == EXIT_USAGE
+        assert "--r" in capsys.readouterr().err
+
+    def test_hadamard_n64_exit_3(self, tmp_path, capsys):
+        code = main(["smp-run", "--protocol", "mixture", "--n", "64",
+                     "--trials", "2"])
+        assert code == EXIT_CAPABILITY
+        assert "64-bit" in capsys.readouterr().err
+        report = run_json(tmp_path, ["smp-run", "--protocol", "mixture",
+                                     "--n", "63", "--trials", "2"])
+        assert report["results"]["trials"] == 2
+
     def test_mixture_forced_equal(self, tmp_path):
         report = run_json(tmp_path, [
             "smp-run", "--protocol", "mixture", "--n", "4",

@@ -18,6 +18,7 @@ from qfplab import (
     linear_code,
     random_linear_code,
 )
+from qfplab.codes import _codeword_bits
 
 
 def all_messages(n):
@@ -94,6 +95,34 @@ class TestBitAt:
             bit_at(hadamard_code(2), "11", 5)
         with pytest.raises(InputShapeError):
             bit_at(hadamard_code(2), "11", 0)
+
+
+def reference_codeword(code, x):
+    """Independent oracle: every codeword bit from its definition."""
+    if code.kind == "hadamard":
+        return np.array([bin(i & int(x, 2)).count("1") % 2 for i in range(code.m)])
+    if code.generator is not None:
+        return code.generator.astype(int) @ np.array([int(ch) for ch in x]) % 2
+    return np.array([int(ch) for ch in code.encoder(x)])
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("code", [
+        pytest.param(code, id=name or "random-linear4")
+        for name, code in BIT_KERNEL_CODES.items()
+    ] + [pytest.param(random_linear_code(70, 2, seed=1), id="random-linear70")])
+    def test_rows_match_single_message_kernel(self, code):
+        rng = np.random.default_rng(3)
+        batch = rng.integers(0, 2, (5, code.n), dtype=np.uint8)
+        idx = rng.integers(0, code.m, (5, 7))
+        full = _codeword_bits(code, batch)
+        picked = _codeword_bits(code, batch, idx)
+        assert full.shape == (5, code.m) and picked.shape == (5, 7)
+        for row, positions, bits, bits_at in zip(batch, idx, full, picked):
+            x = "".join(str(b) for b in row)
+            assert np.array_equal(bits, _codeword_bits(code, x))
+            assert np.array_equal(bits, reference_codeword(code, x))
+            assert np.array_equal(bits_at, _codeword_bits(code, x, positions))
 
 
 class TestCertifyDistance:
@@ -199,6 +228,13 @@ class TestAgreementFraction:
 class TestConstruction:
     def test_hadamard_length_is_power_of_two(self):
         assert hadamard_code(5).m == 32
+
+    def test_hadamard_positions_fit_64_bits(self):
+        with pytest.raises(CapabilityError, match="64-bit"):
+            hadamard_code(64)
+        code = hadamard_code(63)
+        # position 2^63 - 1 shares all 63 set bits with the all-ones message
+        assert bit_at(code, "1" * 63, code.m) == 1
 
     def test_random_linear_requires_c_at_least_two(self):
         with pytest.raises(DomainError):

@@ -18,32 +18,35 @@ from qfplab import (
     message_costs,
     quantum_accept_probability,
     random_linear_code,
-    run_classical_mixture,
-    run_classical_shared_key,
     run_experiment,
-    run_quantum_smp,
 )
+from qfplab.protocols import BLOCK
 
 
 def all_messages(n):
     return ["".join(bits) for bits in itertools.product("01", repeat=n)]
 
 
+def run_pairs(protocol_id, code, trials, pairs, seed=0, **kwargs):
+    return run_experiment(protocol_id, code, trials, "adversarial-list",
+                          seed=seed, pairs=pairs, **kwargs)
+
+
 class TestQuantumSmp:
     def test_equal_inputs_never_rejected(self):
-        code = hadamard_code(4)
-        for t in range(300):
-            v = run_quantum_smp(code, "1010", "1010", k=5, seed=t)
-            assert v.verdict == "equal"
+        rep = run_pairs("quantum", hadamard_code(4), 300, [("1010", "1010")],
+                        k=5)
+        assert rep.trials_equal == 300
+        assert rep.empirical_error_equal == 0.0
 
     def test_costs(self):
-        code = hadamard_code(8)
-        v = run_quantum_smp(code, "1" * 8, "0" * 8, k=5, seed=0)
-        assert v.cost_alice == v.cost_bob == 45
+        rep = run_pairs("quantum", hadamard_code(8), 1, [("1" * 8, "0" * 8)],
+                        k=5)
+        assert rep.message_cost == {"alice": 45, "bob": 45}
 
     def test_k_zero_rejected(self):
         with pytest.raises(ConfigError):
-            run_quantum_smp(hadamard_code(2), "01", "10", k=0, seed=0)
+            run_pairs("quantum", hadamard_code(2), 1, [("01", "10")], k=0)
 
     def test_accept_probability_exact_rational(self):
         code = hadamard_code(4)
@@ -71,55 +74,54 @@ class TestQuantumSmp:
 
 class TestSharedKey:
     def test_equal_inputs_never_rejected(self):
-        code = hadamard_code(4)
-        for t in range(300):
-            v = run_classical_shared_key(code, "0110", "0110", r=3, seed=t)
-            assert v.verdict == "equal"
+        rep = run_pairs("shared-key", hadamard_code(4), 300, [("0110", "0110")],
+                        r=3)
+        assert rep.trials_equal == 300
+        assert rep.empirical_error_equal == 0.0
 
     def test_costs_exclude_key(self):
-        v = run_classical_shared_key(hadamard_code(8), "1" * 8, "0" * 8,
-                                     r=10, seed=1)
-        assert v.cost_alice == v.cost_bob == 10
+        rep = run_pairs("shared-key", hadamard_code(8), 1, [("1" * 8, "0" * 8)],
+                        seed=1, r=10)
+        assert rep.message_cost == {"alice": 10, "bob": 10}
 
     def test_r_zero_rejected(self):
         with pytest.raises(ConfigError):
-            run_classical_shared_key(hadamard_code(2), "01", "10", r=0, seed=0)
+            run_pairs("shared-key", hadamard_code(2), 1, [("01", "10")], r=0)
 
     def test_single_index_error_rate_below_delta(self):
         code = hadamard_code(5)
         delta = float(certify_distance(code).max_agreement)
-        wrong = sum(
-            run_classical_shared_key(code, "10101", "10100", r=1, seed=t).verdict
-            == "equal"
-            for t in range(4000)
-        )
-        assert wrong / 4000 <= delta + 3 * math.sqrt(delta * (1 - delta) / 4000)
+        rep = run_pairs("shared-key", code, 4000, [("10101", "10100")], r=1)
+        assert rep.trials_unequal == 4000
+        assert rep.empirical_error_unequal \
+            <= delta + 3 * math.sqrt(delta * (1 - delta) / 4000)
 
 
 class TestMixture:
     def test_equal_rate_is_collision_rate(self):
         code = hadamard_code(4)  # m = 16
-        hits = sum(
-            run_classical_mixture(code, "0101", "0101", seed=t).verdict == "equal"
-            for t in range(20000)
-        )
+        rep = run_pairs("mixture", code, 20000, [("0101", "0101")])
         p = 1 / 16
-        assert abs(hits / 20000 - p) <= 3 * math.sqrt(p * (1 - p) / 20000)
+        assert abs((1 - rep.empirical_error_equal) - p) \
+            <= 3 * math.sqrt(p * (1 - p) / 20000)
 
     def test_unequal_rate_is_collision_times_agreement(self):
         code = hadamard_code(4)
-        hits = sum(
-            run_classical_mixture(code, "0101", "1010", seed=t).verdict == "equal"
-            for t in range(20000)
-        )
+        rep = run_pairs("mixture", code, 20000, [("0101", "1010")])
         p = (1 / 16) * 0.5
-        assert abs(hits / 20000 - p) <= 3 * math.sqrt(p * (1 - p) / 20000)
+        assert abs(rep.empirical_error_unequal - p) \
+            <= 3 * math.sqrt(p * (1 - p) / 20000)
 
     def test_degenerate_single_position_code(self):
         # m = 1 forces the collision, reducing to the r = 1 shared-key rule
         code = declared_code(1, 1, encoder=lambda x: x, delta=Fraction(0))
-        assert run_classical_mixture(code, "1", "1", seed=0).verdict == "equal"
-        assert run_classical_mixture(code, "1", "0", seed=0).verdict == "unequal"
+        rep = run_pairs("mixture", code, 2, [("1", "1"), ("1", "0")])
+        assert rep.empirical_error_equal == 0.0
+        assert rep.empirical_error_unequal == 0.0
+
+    def test_costs(self):
+        rep = run_pairs("mixture", hadamard_code(8), 1, [("1" * 8, "0" * 8)])
+        assert rep.message_cost == {"alice": 9, "bob": 9}
 
 
 class TestMessageCosts:
@@ -167,6 +169,20 @@ class TestRunExperiment:
         assert rep.trials_equal == 500
         assert rep.trials_unequal == 500
         assert rep.empirical_error_equal == 0.0
+
+    @pytest.mark.parametrize("extra", [1, 3])
+    def test_block_boundary(self, extra):
+        # the trials span two generators; the list cycles by trial index
+        # across the boundary instead of restarting with the second block
+        pairs = [("0000", "0001"), ("1111", "1111"), ("0101", "0101")]
+        trials = BLOCK + extra
+        reports = [run_pairs("quantum", hadamard_code(4), trials, pairs,
+                             seed=8, k=2) for _ in range(2)]
+        unequal = len(range(0, trials, 3))
+        assert reports[0].trials_unequal == unequal
+        assert reports[0].trials_equal == trials - unequal
+        assert reports[0].empirical_error_equal == 0.0
+        assert reports[0].json_str() == reports[1].json_str()
 
     def test_deterministic_reports_byte_identical(self):
         kwargs = dict(trials=500, pair_source="random-pairs", seed=99, k=2)
