@@ -40,7 +40,6 @@ from .nearset import (
     sample_vector_set,
 )
 from .permtest import (
-    PermTestOutcome,
     build_hard_instance,
     distinguisher_lower_bound,
     helstrom_error,
@@ -49,7 +48,7 @@ from .permtest import (
     p_eq_closed_form,
     p_eq_projection,
     p_eq_upper_bound,
-    simulate_perm_test,
+    sample_rate,
 )
 from .protocols import (
     ExperimentReport,
@@ -76,7 +75,6 @@ from .swaptest import (
     swap_test_analytic,
     swap_test_circuit,
     swap_test_circuit_state,
-    swap_test_sample,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,17 +7,18 @@ closed form
 
     p_eq(k, gamma) = (k!)^2/(2k)! * sum_j C(k,j)^2 gamma^(2j).
 
-This module provides that closed form (exact over the rationals), a
-brute-force projection oracle that symmetrizes the actual 2k-register
-product state, a seeded sampler, the matching upper/lower/asymptotic
-bounds, the two-state discrimination optimum, and the worst-case product
-instance those bounds are tight against.
+At k = 1 it is the swap test's (1 + gamma^2)/2.  This module provides
+that closed form (exact over the rationals; the package's one accept
+formula), the seeded sampler of either test's verdicts, a brute-force
+projection oracle that symmetrizes the actual 2k-register product state,
+the matching upper/lower/asymptotic bounds, the two-state discrimination
+optimum, and the worst-case product instance those bounds are tight
+against.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, cos, factorial, pi, sqrt
@@ -30,17 +31,6 @@ from .qstate import MAX_STATE_DIM, PureState, tensor, tensor_power
 # Brute-force projection guards: permutation count and total element work.
 _MAX_PERMUTATIONS = 4_000_000
 _MAX_PROJECTION_WORK = 4_000_000_000
-
-
-@dataclass(frozen=True)
-class PermTestOutcome:
-    p_equal: float
-    method: str
-    samples: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_equal <= 1.0:
-            raise DomainError(f"p_equal = {self.p_equal!r} outside [0,1]")
 
 
 def _as_fraction(value) -> Fraction | None:
@@ -63,6 +53,21 @@ def p_eq_closed_form(k: int, gamma):
     g2 = float(gamma) ** 2
     total = sum(comb(k, j) ** 2 * g2**j for j in range(k + 1))
     return float(prefactor * Fraction(total))
+
+
+def sample_rate(p, trials: int, seed) -> float:
+    """Frequency of ``trials`` seeded Bernoulli(p) verdicts.
+
+    Draws ``default_rng(seed).random(trials) < p``: the same stream for a
+    swap test's outcome 1 at its analytic rate and for a permutation
+    test's acceptance at its projection rate.
+    """
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    if not 0 <= p <= 1:
+        raise DomainError(f"p must lie in [0,1], got {p}")
+    rng = np.random.default_rng(seed)
+    return int(np.count_nonzero(rng.random(trials) < p)) / trials
 
 
 def p_eq_projection(phi: PureState, psi: PureState, k: int) -> float:
@@ -94,18 +99,6 @@ def p_eq_projection(phi: PureState, psi: PureState, k: int) -> float:
         acc += product.transpose(sigma)
     p = float(np.vdot(acc, acc).real) / n_perms**2
     return min(max(p, 0.0), 1.0)
-
-
-def simulate_perm_test(
-    phi: PureState, psi: PureState, k: int, trials: int, seed
-) -> PermTestOutcome:
-    """Seeded equal/not-equal verdicts at the projection rate."""
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    p = p_eq_projection(phi, psi, k)
-    rng = np.random.default_rng(seed)
-    hits = int(np.count_nonzero(rng.random(trials) < p))
-    return PermTestOutcome(p_equal=hits / trials, method="sampled", samples=trials)
 
 
 def p_eq_upper_bound(k: int, delta):

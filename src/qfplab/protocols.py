@@ -35,6 +35,7 @@ from .codes import (
     certify_distance,
 )
 from .errors import ConfigError
+from .permtest import p_eq_closed_form
 from .qstate import _check_fingerprint_length, qubits_required
 
 PROTOCOLS = ("quantum", "shared-key", "mixture")
@@ -42,9 +43,8 @@ PAIR_SOURCES = ("random-pairs", "forced-equal", "forced-unequal", "adversarial-l
 
 
 def quantum_accept_probability(code: BinaryCode, x: str, y: str) -> Fraction:
-    """Exact per-repetition accept probability (1 + <h_x|h_y>^2) / 2."""
-    g = agreement_fraction(code, x, y)
-    return (1 + g * g) / 2
+    """Exact per-repetition accept probability p_eq(1, <h_x|h_y>)."""
+    return p_eq_closed_form(1, agreement_fraction(code, x, y))
 
 
 def message_costs(code: BinaryCode, k: int = 1, r: int = 1) -> dict:
@@ -113,7 +113,7 @@ def _theory_bound(protocol_id: str, code: BinaryCode,
         return None
     delta = certify_distance(code).max_agreement
     if protocol_id == "quantum":
-        return float(((1 + delta * delta) / 2) ** k)
+        return float(p_eq_closed_form(1, delta) ** k)
     return float(delta**r)
 
 
@@ -135,21 +135,27 @@ def _sample_pairs(rng: np.random.Generator, pair_source: str, n: int, size: int,
     return x, y
 
 
+def _swap_p_one(agree, m: int):
+    """1 - p_eq(1, a/m) = (m^2 - a^2)/(2m^2) as floats, at agreements a.
+
+    With m within the fingerprint guard 2^20 numerator and denominator are
+    exact floats, so each is the exact rational correctly rounded.
+    """
+    return (m * m - agree * agree) / (2 * m * m)
+
+
 def _block_accepts(protocol_id: str, code: BinaryCode, x: np.ndarray,
                    y: np.ndarray, rng: np.random.Generator,
                    k: int | None, r: int | None) -> np.ndarray:
     """The referee's verdicts on one block of pairs: True where it says equal."""
     m, size = code.m, len(x)
     if protocol_id == "quantum":
-        # Unequal on any of k swap tests measuring 1, which happens with
-        # probability (1 - g^2)/2 = (m^2 - a^2)/(2m^2) at agreement a = g*m.
-        # With m within the fingerprint guard 2^20 both are exact floats, so
-        # p_one is the exact rational correctly rounded.  Full codewords are
+        # Unequal on any of k swap tests measuring 1.  Full codewords are
         # built for ⌊2^14/m⌋ pairs at a time.
         step = max(1, (1 << 14) // m)
         agree = np.concatenate([_agreements(code, x[t:t + step], y[t:t + step])
                                 for t in range(0, size, step)])
-        p_one = (m * m - agree * agree) / (2 * m * m)
+        p_one = _swap_p_one(agree, m)
         return ~(rng.random((size, k)) < p_one[:, None]).any(axis=1)
     if protocol_id == "shared-key":
         idx = rng.integers(0, m, (size, r))

@@ -1,9 +1,11 @@
-"""The controlled-swap comparison test, computed three independent ways.
+"""The controlled-swap comparison test, computed two independent ways.
 
-* analytic: p(outcome 1) = 1/2 - 1/2 |<phi|psi>|^2 from the inner product.
+* analytic: p(outcome 1) = 1 - p_eq(1, |<phi|psi>|) from the inner
+  product, the k = 1 case of the permutation test's closed form.
 * circuit: full state-vector evolution of H on the control, a controlled
   register exchange, H again, then the Born probability of control = 1.
-* sampled: seeded Bernoulli draws at the analytic rate.
+
+Seeded sampling at the analytic rate is ``permtest.sample_rate``.
 
 The circuit path cross-checks its pre-measurement state against the
 closed-form superposition of the symmetrized and antisymmetrized inputs,
@@ -19,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapabilityError, DomainError, InputShapeError
+from .permtest import p_eq_closed_form
 from .qstate import MAX_STATE_DIM, PureState
 
 _HALF_TOL = 1e-12
@@ -29,33 +32,30 @@ class SwapTestResult:
     p_one: float
     p_zero: float
     method: str
-    samples: int | None = None
 
     def __post_init__(self) -> None:
         if abs(self.p_one + self.p_zero - 1.0) > 1e-12:
             raise DomainError("p_one and p_zero must sum to 1")
-        # the exact test never reports above 1/2; sampled frequencies may
-        if self.method != "sampled" and self.p_one > 0.5 + _HALF_TOL:
+        if self.p_one > 0.5 + _HALF_TOL:
             raise DomainError(f"p_one = {self.p_one!r} exceeds 1/2")
 
     def to_json(self) -> dict:
-        out: dict = {"p_one": self.p_one, "method": self.method}
-        if self.samples is not None:
-            out["trials"] = self.samples
-        return out
+        return {"p_one": self.p_one, "method": self.method}
 
 
-def _result(p_one: float, method: str, samples: int | None = None) -> SwapTestResult:
-    return SwapTestResult(p_one=p_one, p_zero=1.0 - p_one,
-                          method=method, samples=samples)
+def _result(p_one: float, method: str) -> SwapTestResult:
+    return SwapTestResult(p_one=p_one, p_zero=1.0 - p_one, method=method)
 
 
 def p_one_for_overlap(overlap):
-    """1/2 - 1/2 |overlap|^2; exact when given a Fraction."""
-    if isinstance(overlap, Fraction):
-        return (1 - overlap * overlap) / 2
-    g = abs(overlap)
-    return max(0.0, min(0.5, 0.5 - 0.5 * g * g))
+    """1 - p_eq(1, |overlap|) = (1 - |overlap|^2)/2; exact for a Fraction.
+
+    A float overlap is clamped to at most 1, since a rounded inner product
+    of identical states may exceed it.
+    """
+    if not isinstance(overlap, Fraction):
+        overlap = min(float(abs(overlap)), 1.0)
+    return 1 - p_eq_closed_form(1, abs(overlap))
 
 
 def swap_test_analytic(phi: PureState, psi: PureState) -> SwapTestResult:
@@ -104,25 +104,8 @@ def swap_test_circuit(phi: PureState, psi: PureState) -> SwapTestResult:
     return _result(min(p_one, 0.5), "circuit")
 
 
-def swap_test_sample(
-    phi: PureState, psi: PureState, trials: int, seed
-) -> SwapTestResult:
-    """Empirical outcome-1 frequency over seeded Bernoulli trials.
-
-    Draws at the analytic rate rather than collapsing the circuit per trial;
-    the distribution is identical and the circuit path already validates the
-    physics.
-    """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    p = swap_test_analytic(phi, psi).p_one
-    rng = np.random.default_rng(seed)
-    ones = int(np.count_nonzero(rng.random(trials) < p))
-    return _result(ones / trials, "sampled", samples=trials)
-
-
 def repetitions_for_error(epsilon: float, delta: float) -> int:
-    """Smallest k with ((1 + delta^2)/2)^k <= epsilon."""
+    """Smallest k with p_eq(1, delta)^k = ((1 + delta^2)/2)^k <= epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0,1), got {epsilon}")
     if not 0.0 <= delta < 1.0:
@@ -130,7 +113,7 @@ def repetitions_for_error(epsilon: float, delta: float) -> int:
             f"delta must lie in [0,1): states may coincide at delta=1, "
             f"so no finite repetition count works (got {delta})"
         )
-    q = (1.0 + delta * delta) / 2.0
+    q = p_eq_closed_form(1, delta)
     k = max(1, math.ceil(math.log(epsilon) / math.log(q)))
     while q**k > epsilon:
         k += 1

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import qfplab.cli
+import qfplab.permtest
 from qfplab.cli import EXIT_CAPABILITY, EXIT_OK, EXIT_USAGE, main
 
 
@@ -70,6 +72,22 @@ class TestPermTest:
     def test_gamma_out_of_range(self):
         assert main(["perm-test", "--k", "2", "--gamma", "1.5"]) == EXIT_USAGE
 
+    def test_trials_sample_the_one_projection(self, tmp_path, monkeypatch):
+        calls = []
+        projection = qfplab.permtest.p_eq_projection
+
+        def counted(*args):
+            calls.append(args)
+            return projection(*args)
+
+        # count calls made through either module's name for the oracle
+        for module in (qfplab.cli, qfplab.permtest):
+            monkeypatch.setattr(module, "p_eq_projection", counted)
+        report = run_json(tmp_path, ["perm-test", "--k", "2", "--gamma", "0.3",
+                                     "--trials", "100"])
+        assert len(calls) == 1
+        assert report["results"]["sampled"]["trials"] == 100
+
 
 class TestSmpRun:
     ARGS = [
@@ -107,6 +125,15 @@ class TestSmpRun:
             "--pair", "0000:1111", "--pair", "0000:0000",
         ])
         assert report["results"]["trials_equal"] == 50
+
+    def test_consecutive_runs_echo_only_their_own_pairs(self, tmp_path):
+        base = ["smp-run", "--protocol", "shared-key", "--n", "4", "--r", "2",
+                "--trials", "10", "--pair-source", "adversarial-list"]
+        first = run_json(tmp_path, base + ["--pair", "0000:1111"], "a.json")
+        second = run_json(tmp_path, base + ["--pair", "0101:0101",
+                                            "--pair", "0011:1100"], "b.json")
+        assert first["config"]["pair"] == ["0000:1111"]
+        assert second["config"]["pair"] == ["0101:0101", "0011:1100"]
 
     def test_unknown_protocol_exit_2(self):
         code = main(["smp-run", "--protocol", "psychic", "--n", "4",
@@ -186,6 +213,19 @@ class TestNearset:
         ])
         gram = report["results"]["gram"]
         assert gram["rank"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["swap-test", "--n", "3", "--x", "010", "--x-equals-y"],
+    ["perm-test", "--k", "2", "--gamma", "0.3"],
+    ["nearset", "--n", "3", "--delta", "0.3"],
+    ["codes", "--n", "3"],
+], ids=["swap-test", "perm-test", "nearset", "codes"])
+def test_csv_only_on_smp_run_exit_2(argv, tmp_path, capsys):
+    path = tmp_path / "report"
+    assert main(argv + ["--format", "csv", "--out", str(path)]) == EXIT_USAGE
+    assert "--format" in capsys.readouterr().err
+    assert not path.exists()
 
 
 class TestCodesCommand:

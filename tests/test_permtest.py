@@ -21,7 +21,7 @@ from qfplab import (
     p_eq_upper_bound,
     p_one_for_overlap,
     random_state,
-    simulate_perm_test,
+    sample_rate,
     swap_test_analytic,
 )
 
@@ -110,22 +110,21 @@ class TestProjectionOracle:
 class TestSampling:
     def test_identical_always_equal(self):
         a = random_state(2, seed=5)
-        out = simulate_perm_test(a, a, 2, trials=5000, seed=1)
-        assert out.p_equal == 1.0
+        assert sample_rate(p_eq_projection(a, a, 2), trials=5000, seed=1) == 1.0
 
     def test_orthogonal_concentration(self):
         phi, psi = overlap_qubit_pair(0.0)
-        out = simulate_perm_test(phi, psi, 2, trials=10**5, seed=11)
+        p_equal = sample_rate(p_eq_projection(phi, psi, 2), trials=10**5, seed=11)
         radius = 3 * math.sqrt((1 / 6) * (5 / 6) / 10**5)
-        assert abs(out.p_equal - 1 / 6) <= radius
+        assert abs(p_equal - 1 / 6) <= radius
 
     def test_k1_complements_swap_test(self):
         code = hadamard_code(1)
         phi = make_fingerprint(code, "0").state
         psi = make_fingerprint(code, "1").state
-        out = simulate_perm_test(phi, psi, 1, trials=10**5, seed=12)
+        p_equal = sample_rate(p_eq_projection(phi, psi, 1), trials=10**5, seed=12)
         radius = 3 * math.sqrt(0.625 * 0.375 / 10**5)
-        assert abs(out.p_equal - 0.625) <= radius
+        assert abs(p_equal - 0.625) <= radius
 
 
 class TestBounds:

@@ -3,6 +3,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qfplab import (
@@ -16,11 +17,12 @@ from qfplab import (
     inner_product,
     make_fingerprint,
     message_costs,
+    p_eq_closed_form,
     quantum_accept_probability,
     random_linear_code,
     run_experiment,
 )
-from qfplab.protocols import BLOCK
+from qfplab.protocols import BLOCK, _swap_p_one
 
 
 def all_messages(n):
@@ -47,6 +49,14 @@ class TestQuantumSmp:
     def test_k_zero_rejected(self):
         with pytest.raises(ConfigError):
             run_pairs("quantum", hadamard_code(2), 1, [("01", "10")], k=0)
+
+    @pytest.mark.parametrize("m", [12, 256])
+    def test_engine_float_is_exact_formula_rounded(self, m):
+        # the engine's one float formula is pinned to the exact closed form
+        agree = np.arange(m + 1, dtype=np.int64)
+        expected = [float(1 - p_eq_closed_form(1, Fraction(a, m)))
+                    for a in range(m + 1)]
+        assert _swap_p_one(agree, m).tolist() == expected
 
     def test_accept_probability_exact_rational(self):
         code = hadamard_code(4)

@@ -14,10 +14,10 @@ from qfplab import (
     p_one_for_overlap,
     random_state,
     repetitions_for_error,
+    sample_rate,
     swap_test_analytic,
     swap_test_circuit,
     swap_test_circuit_state,
-    swap_test_sample,
 )
 
 
@@ -97,33 +97,36 @@ class TestCircuit:
         assert swap_test_circuit(phi, phi).p_one <= 1e-12
 
 
+def analytic_p_one(phi, psi):
+    return swap_test_analytic(phi, psi).p_one
+
+
 class TestSample:
     def test_zero_rate_is_exact(self):
         a = random_state(4, seed=61)
-        result = swap_test_sample(a, a, trials=20000, seed=0)
-        assert result.p_one == 0.0
+        assert sample_rate(analytic_p_one(a, a), trials=20000, seed=0) == 0.0
 
     def test_binomial_concentration(self):
-        phi, psi = fingerprint_pair()
-        result = swap_test_sample(phi, psi, trials=10**6, seed=7)
+        p_one = sample_rate(analytic_p_one(*fingerprint_pair()), trials=10**6,
+                            seed=7)
         radius = 3 * math.sqrt(0.375 * 0.625 / 10**6)
-        assert abs(result.p_one - 0.375) <= radius
+        assert abs(p_one - 0.375) <= radius
 
     def test_single_trial_is_binary(self):
-        phi, psi = fingerprint_pair()
-        result = swap_test_sample(phi, psi, trials=1, seed=3)
-        assert result.p_one in (0.0, 1.0)
+        p_one = sample_rate(analytic_p_one(*fingerprint_pair()), trials=1, seed=3)
+        assert p_one in (0.0, 1.0)
 
     def test_deterministic_per_seed(self):
-        phi, psi = fingerprint_pair()
-        a = swap_test_sample(phi, psi, trials=5000, seed=11)
-        b = swap_test_sample(phi, psi, trials=5000, seed=11)
-        assert a.p_one == b.p_one
+        p = analytic_p_one(*fingerprint_pair())
+        assert sample_rate(p, trials=5000, seed=11) == \
+            sample_rate(p, trials=5000, seed=11)
 
     def test_trials_validated(self):
-        phi, psi = fingerprint_pair()
+        p = analytic_p_one(*fingerprint_pair())
         with pytest.raises(DomainError):
-            swap_test_sample(phi, psi, trials=0, seed=1)
+            sample_rate(p, trials=0, seed=1)
+        with pytest.raises(DomainError):
+            sample_rate(1.5, trials=10, seed=1)
 
 
 class TestRepetitions:
