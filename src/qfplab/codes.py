@@ -9,9 +9,11 @@ Three code families are supported:
 * ``declared`` — a caller-supplied encoder together with a claimed bound on
   the pairwise agreement fraction.
 
-Distance certification is exact (weight enumeration for linear codes,
-pairwise comparison otherwise) up to the enumeration guard; agreement
-fractions are exact rationals throughout.
+Distance certification is exact: closed form for hadamard codes, a numpy
+weight enumerator for codes with a generator, pairwise comparison for a bare
+declared encoder, each of the last two within a bound on its word operations.
+Agreement fractions are exact rationals throughout; hadamard agreements are
+in closed form.
 """
 
 from __future__ import annotations
@@ -29,8 +31,12 @@ HADAMARD = "hadamard"
 RANDOM_LINEAR = "random-linear"
 DECLARED = "declared"
 
-# Largest message length for which we enumerate all 2^n - 1 nonzero encodings.
-CERTIFY_MAX_N = 24
+# Most 64-bit word operations an exact certificate may take: 2^n * ceil(m/64)
+# for the weight enumerator (random-linear n = 24, c = 3 takes about 0.1 s on
+# a 2-core box), C(2^n, 2) * ceil(m/64) for the pairwise comparison.
+CERTIFY_MAX_WORDS = 2**25
+# Packed words (128 KB) in the enumerator's table of low-bit codewords.
+_TABLE_WORDS = 2**14
 # Hadamard positions are codeword rows of one 64-bit word each.
 HADAMARD_MAX_N = 63
 
@@ -286,7 +292,21 @@ def bit_at(code: BinaryCode, x: str, i: int) -> int:
 
 
 def _agreements(code: BinaryCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Agreeing-position count of each row pair of two (B, n) batches, int64."""
+    """Agreeing-position count of each row pair of two (B, n) batches.
+
+    Hadamard codewords of distinct messages agree on exactly m/2 positions,
+    so no codeword is built (uint64, since m = 2^63 at n = 63).  Other codes
+    build full codewords for ⌊2^14/m⌋ pairs at a time (int64).
+    """
+    if code.kind == HADAMARD:
+        return np.where((x == y).all(axis=1), np.uint64(code.m),
+                        np.uint64(code.m // 2))
+    step = max(1, (1 << 14) // code.m)
+    return np.concatenate([_agreement_block(code, x[t:t + step], y[t:t + step])
+                           for t in range(0, len(x), step)])
+
+
+def _agreement_block(code: BinaryCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if code.is_linear:
         # linearity: positions of agreement = m - weight(E(x XOR y))
         return code.m - _codeword_bits(code, x ^ y).sum(axis=1, dtype=np.int64)
@@ -322,69 +342,80 @@ class DistanceCertificate:
         }
 
 
-def _packed(bits: np.ndarray) -> int:
-    """A codeword as a bit-mask, position 0 in the low bit."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+def _weight_distribution(code: BinaryCode) -> np.ndarray:
+    """A_w, the number of codewords of weight w, for w = 0..m (int64).
+
+    The codewords of the low message bits are tabulated by doubling, as many
+    bits as keep the table within ``_TABLE_WORDS`` packed words; the high
+    bits are walked in Gray order, each step XORing one generator column
+    into the whole table.
+    """
+    n, m = code.n, code.m
+    # the generator columns are the codewords of the n unit messages
+    unit = np.eye(n, dtype=np.uint8)
+    columns = _packed_words(_codeword_bits(code, unit))[..., None]
+    low = min(n, max(0, (_TABLE_WORDS // columns.shape[1]).bit_length() - 1))
+    # word-major, so that a codeword's weight sums contiguous rows
+    table = np.zeros((columns.shape[1], 1 << low), dtype=np.uint64)
+    for b in range(low):
+        table[:, 1 << b:2 << b] = table[:, :1 << b] ^ columns[b]
+    counts = np.zeros(m + 1, dtype=np.int64)
+    offset = np.zeros_like(columns[0])
+    for g in range(1 << (n - low)):
+        if g:
+            offset ^= columns[low + (g & -g).bit_length() - 1]
+        weights = np.bitwise_count(table ^ offset).sum(axis=0, dtype=np.intp)
+        counts += np.bincount(weights, minlength=m + 1)
+    return counts
 
 
-def _min_nonzero_weight(columns: list[int], n: int) -> int:
-    # Gray-code walk over all 2^n - 1 nonzero messages: one XOR per step.
-    cw = 0
-    best: int | None = None
-    for g in range(1, 1 << n):
-        cw ^= columns[(g & -g).bit_length() - 1]
-        w = cw.bit_count()
-        if best is None or w < best:
-            best = w
-    assert best is not None
-    return best
+def _min_pairwise_distance(code: BinaryCode) -> int:
+    """Smallest Hamming distance between the codewords of distinct messages."""
+    n = code.n
+    messages = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    words = _packed_words(_codeword_bits(code, messages.astype(np.uint8)))
+    return min(
+        int(np.bitwise_count(words[a + 1:] ^ words[a]).sum(axis=1).min())
+        for a in range(len(words) - 1)
+    )
 
 
 def certify_distance(code: BinaryCode) -> DistanceCertificate:
     """Exact minimum Hamming distance over all distinct codeword pairs.
 
-    Linear codes use the minimum nonzero-codeword weight; declared codes with
-    a claimed delta return it verbatim; a declared encoder without a claim is
-    compared pairwise.  Above the enumeration guard a non-declared code is
-    rejected with instructions to declare a bound instead.
+    Hadamard codes have distance m/2 in closed form; other codes with a
+    generator take the smallest nonzero weight of their weight distribution;
+    declared codes with a claimed delta return it verbatim; a declared
+    encoder without a claim is compared pairwise.  Past the word-operation
+    guard a code is rejected with instructions to declare a bound instead.
     """
     if code.kind == DECLARED and code.declared_delta is not None:
         agree = floor(code.declared_delta * code.m)
-        return DistanceCertificate(
-            min_distance=code.m - agree,
-            max_agreement=Fraction(agree, code.m),
-            method="declared",
-            m=code.m,
-        )
-    if code.n > CERTIFY_MAX_N:
-        raise CapabilityError(
-            f"exact certification enumerates 2^{code.n} codewords; "
-            f"guard is n <= {CERTIFY_MAX_N}.  Construct the code with a "
-            f"declared delta bound instead."
-        )
-    if code.is_linear:
-        # the generator columns are the codewords of the n unit messages
-        columns = [_packed(_codeword_bits(code, format(1 << b, f"0{code.n}b")))
-                   for b in range(code.n)]
-        dist = _min_nonzero_weight(columns, code.n)
-        return DistanceCertificate(
-            min_distance=dist,
-            max_agreement=Fraction(code.m - dist, code.m),
-            method="weight-enumeration",
-            m=code.m,
-        )
-    words = [_packed(_codeword_bits(code, format(v, f"0{code.n}b")))
-             for v in range(2**code.n)]
-    if len(set(words)) != len(words):
-        raise DomainError("declared encoder is not injective")
-    dist = min(
-        (words[a] ^ words[b]).bit_count()
-        for a in range(len(words))
-        for b in range(a + 1, len(words))
-    )
+        dist, method = code.m - agree, "declared"
+    elif code.kind == HADAMARD:
+        dist, method = code.m // 2, "closed-form"
+    else:
+        count = 1 << code.n
+        if not code.is_linear:
+            count = count * (count - 1) // 2  # codeword pairs
+        work = count * -(-code.m // 64)
+        if work > CERTIFY_MAX_WORDS:
+            raise CapabilityError(
+                f"exact certification of this n={code.n}, m={code.m} code takes "
+                f"{work} word operations; guard is {CERTIFY_MAX_WORDS}.  "
+                f"Construct the code with a declared delta bound instead."
+            )
+        if code.is_linear:
+            weights = _weight_distribution(code)
+            dist = int(np.flatnonzero(weights[1:])[0]) + 1
+            method = "weight-enumeration"
+        else:
+            dist, method = _min_pairwise_distance(code), "exhaustive"
+            if dist == 0:
+                raise DomainError("declared encoder is not injective")
     return DistanceCertificate(
         min_distance=dist,
         max_agreement=Fraction(code.m - dist, code.m),
-        method="exhaustive",
+        method=method,
         m=code.m,
     )

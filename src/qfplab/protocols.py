@@ -150,12 +150,8 @@ def _block_accepts(protocol_id: str, code: BinaryCode, x: np.ndarray,
     """The referee's verdicts on one block of pairs: True where it says equal."""
     m, size = code.m, len(x)
     if protocol_id == "quantum":
-        # Unequal on any of k swap tests measuring 1.  Full codewords are
-        # built for ⌊2^14/m⌋ pairs at a time.
-        step = max(1, (1 << 14) // m)
-        agree = np.concatenate([_agreements(code, x[t:t + step], y[t:t + step])
-                                for t in range(0, size, step)])
-        p_one = _swap_p_one(agree, m)
+        # Unequal on any of k swap tests measuring 1.
+        p_one = _swap_p_one(_agreements(code, x, y), m)
         return ~(rng.random((size, k)) < p_one[:, None]).any(axis=1)
     if protocol_id == "shared-key":
         idx = rng.integers(0, m, (size, r))

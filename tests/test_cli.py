@@ -236,6 +236,12 @@ class TestCodesCommand:
         assert cert["max_agreement"] == "1/2"
         assert report["results"]["qubits_required"] == 5
 
+    def test_hadamard_n40_certified_in_closed_form(self, tmp_path):
+        report = run_json(tmp_path, ["codes", "--n", "40"])
+        cert = report["results"]["certificate"]
+        assert cert["method"] == "closed-form"
+        assert cert["min_distance"] == 2**39
+
     def test_missing_subcommand_exit_2(self):
         assert main([]) == EXIT_USAGE
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from qfplab import (
     linear_code,
     random_linear_code,
 )
-from qfplab.codes import _codeword_bits
+from qfplab.codes import _agreements, _codeword_bits, _weight_distribution
 
 
 def all_messages(n):
@@ -130,7 +131,7 @@ class TestCertifyDistance:
         cert = certify_distance(hadamard_code(4))
         assert cert.min_distance == 8
         assert cert.max_agreement == Fraction(1, 2)
-        assert cert.method == "weight-enumeration"
+        assert cert.method == "closed-form"
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_hadamard_distance_is_half_m(self, n):
@@ -174,10 +175,72 @@ class TestCertifyDistance:
         with pytest.raises(CapabilityError, match="declare"):
             certify_distance(big)
 
+    def test_hadamard_closed_form_is_immediate(self):
+        # n = 20 enumerated 2^20 codewords in 136 s before the closed form
+        start = time.perf_counter()
+        cert = certify_distance(hadamard_code(63))
+        assert time.perf_counter() - start < 5.0
+        assert cert.min_distance == 2**62
+        assert cert.max_agreement == Fraction(1, 2)
+
+    def test_enumerator_guard_bounds_words(self):
+        # 2^24 codewords of two words each are admitted, 2^25 are not
+        assert certify_distance(random_linear_code(24, 3, seed=1)).min_distance > 0
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match="declare"):
+            certify_distance(random_linear_code(25, 3, seed=1))
+        assert time.perf_counter() - start < 5.0
+
+    def test_exhaustive_guard_bounds_pairs(self):
+        # C(2^14, 2) codeword pairs are over the budget
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match="declare"):
+            certify_distance(declared_code(14, 28, encoder=lambda x: x + x))
+        assert time.perf_counter() - start < 5.0
+
+
+def reference_weight_distribution(code):
+    """Independent oracle: the weight of every codeword, from its definition."""
+    # row v holds the bits of v, most significant first
+    messages = np.arange(2**code.n)[:, None] >> np.arange(code.n)[::-1] & 1
+    weights = (messages @ code.generator.T.astype(int) % 2).sum(axis=1)
+    return np.bincount(weights, minlength=code.m + 1)
+
+
+class TestWeightDistribution:
+    # n = 14 fills the codeword table exactly; n = 15 and 17 walk the high
+    # bits in Gray order, and c = 4 at n = 17 packs codewords into two words
+    @pytest.mark.parametrize("code", [
+        random_linear_code(3, 2, seed=1),
+        random_linear_code(10, 3, seed=2),
+        random_linear_code(14, 2, seed=3),
+        random_linear_code(15, 2, seed=4),
+        random_linear_code(17, 4, seed=5),
+        declared_code(9, 27, generator=random_linear_code(9, 3, seed=6).generator),
+    ], ids=["random-linear3", "random-linear10", "random-linear14",
+            "random-linear15", "random-linear17", "declared-generator9"])
+    def test_matches_brute_force(self, code):
+        counts = _weight_distribution(code)
+        assert counts[0] == 1 and counts.sum() == 2**code.n
+        assert np.array_equal(counts, reference_weight_distribution(code))
+
 
 class TestAgreementFraction:
     def test_identical_messages(self):
         assert agreement_fraction(hadamard_code(3), "101", "101") == 1
+
+    def test_hadamard_closed_form_matches_codewords(self):
+        code = hadamard_code(5)
+        msgs = all_messages(5)
+        words = {x: encode(code, x) for x in msgs}
+        pairs = list(itertools.product(msgs, repeat=2))
+        batch = [np.array([[int(ch) for ch in p[side]] for p in pairs],
+                          dtype=np.uint8) for side in (0, 1)]
+        direct = [sum(a == b for a, b in zip(words[x], words[y]))
+                  for x, y in pairs]
+        assert _agreements(code, *batch).tolist() == direct
+        for bx, by, agree in zip(*batch, direct):
+            assert _agreements(code, bx[None], by[None])[0] == agree
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_hadamard_distinct_pairs_agree_half(self, n):

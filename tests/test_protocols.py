@@ -215,8 +215,8 @@ class TestRunExperiment:
         assert misses <= 1
 
     def test_quantum_fingerprint_guard_fails_fast(self):
-        # m = 2^21 is above the fingerprint guard; without it the run would
-        # go on to the 2^21-word certification walk
+        # m = 2^21 is above the fingerprint guard, which the engine checks
+        # before it draws any trial
         start = time.perf_counter()
         with pytest.raises(CapabilityError, match="fingerprint guard"):
             run_experiment("quantum", hadamard_code(21), 10, "forced-unequal",
