@@ -352,8 +352,7 @@ def _weight_distribution(code: BinaryCode) -> np.ndarray:
     """
     n, m = code.n, code.m
     # the generator columns are the codewords of the n unit messages
-    unit = np.eye(n, dtype=np.uint8)
-    columns = _packed_words(_codeword_bits(code, unit))[..., None]
+    columns = _packed_words(code.generator.T)[..., None]
     low = min(n, max(0, (_TABLE_WORDS // columns.shape[1]).bit_length() - 1))
     # word-major, so that a codeword's weight sums contiguous rows
     table = np.zeros((columns.shape[1], 1 << low), dtype=np.uint64)

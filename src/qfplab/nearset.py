@@ -116,7 +116,15 @@ def _violation_threshold(d: int, delta: float) -> int:
 
 
 def audit_overlaps(vset: VectorSet, delta: float) -> OverlapAudit:
-    """Exact pairwise overlap audit of a whole vector set."""
+    """Exact pairwise overlap audit of a whole vector set.
+
+    The Gram numerators come from float64 matrix products (BLAS): each is a
+    sum of d products of +/-1, an integer that float64 holds exactly for
+    d < 2^53.  Each block of rows is multiplied only by the rows from its
+    own start onwards, and the block's diagonal square is zeroed below and
+    on the diagonal, so every pair i < j is counted once; a zero never
+    reaches the violation threshold, which is at least 1.
+    """
     if vset.count > AUDIT_MAX_COUNT:
         raise CapabilityError(
             f"pairwise audit of {vset.count} vectors exceeds the guard "
@@ -124,21 +132,20 @@ def audit_overlaps(vset: VectorSet, delta: float) -> OverlapAudit:
         )
     if not 0.0 < float(delta) < 1.0:
         raise DomainError(f"delta must lie in (0,1), got {delta}")
-    signs = vset.signs.astype(np.int32)
+    signs = vset.signs.astype(np.float64)
     threshold = _violation_threshold(vset.d, delta)
     max_num = 0
     violations = 0
     block = 1024
+    lower = np.tril(np.ones((block, block), dtype=bool))
     for start in range(0, vset.count, block):
         rows = signs[start:start + block]
-        grams = rows @ signs.T  # integer coordinate-agreement counts
-        # keep strictly-upper-triangle entries only
-        cols = np.arange(vset.count)[None, :]
-        mask = cols > (start + np.arange(rows.shape[0]))[:, None]
-        vals = np.abs(grams[mask])
-        if vals.size:
-            max_num = max(max_num, int(vals.max()))
-            violations += int(np.count_nonzero(vals >= threshold))
+        grams = rows @ signs[start:].T
+        size = rows.shape[0]
+        grams[:, :size][lower[:size, :size]] = 0.0
+        np.abs(grams, out=grams)
+        max_num = max(max_num, int(grams.max()))
+        violations += int(np.count_nonzero(grams >= threshold))
     return OverlapAudit(
         d=vset.d,
         count=vset.count,

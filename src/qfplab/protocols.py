@@ -36,7 +36,7 @@ from .codes import (
 )
 from .errors import ConfigError
 from .permtest import p_eq_closed_form
-from .qstate import _check_fingerprint_length, qubits_required
+from .qstate import qubits_required
 
 PROTOCOLS = ("quantum", "shared-key", "mixture")
 PAIR_SOURCES = ("random-pairs", "forced-equal", "forced-unequal", "adversarial-list")
@@ -136,12 +136,16 @@ def _sample_pairs(rng: np.random.Generator, pair_source: str, n: int, size: int,
 
 
 def _swap_p_one(agree, m: int):
-    """1 - p_eq(1, a/m) = (m^2 - a^2)/(2m^2) as floats, at agreements a.
+    """1 - p_eq(1, a/m) = (m - a)(m + a)/(2m^2) in float64, at agreements a.
 
-    With m within the fingerprint guard 2^20 numerator and denominator are
-    exact floats, so each is the exact rational correctly rounded.
+    The agreements are converted to float before m + a is formed, since
+    m + a reaches 2^64 at hadamard n = 63.  For m <= 2^26 every factor and
+    product is an exact float, so each value is the exact rational
+    correctly rounded; hadamard agreements (m/2 or m) are exact at every m.
     """
-    return (m * m - agree * agree) / (2 * m * m)
+    a = np.asarray(agree, dtype=np.float64)
+    m = float(m)
+    return (m - a) * (m + a) / (2 * m * m)
 
 
 def _block_accepts(protocol_id: str, code: BinaryCode, x: np.ndarray,
@@ -207,7 +211,6 @@ def run_experiment(
     if protocol_id == "quantum":
         if k is None or k < 1:
             raise ConfigError("quantum protocol needs k >= 1 repetitions")
-        _check_fingerprint_length(code)
     elif protocol_id == "shared-key":
         if r is None or r < 1:
             raise ConfigError("shared-key protocol needs r >= 1 indices")

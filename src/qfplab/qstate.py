@@ -100,18 +100,14 @@ def qubits_required(code: BinaryCode) -> int:
     return (code.m - 1).bit_length() + 1
 
 
-def _check_fingerprint_length(code: BinaryCode) -> None:
+def make_fingerprint(code: BinaryCode, x: str) -> Fingerprint:
+    """Uniform superposition of |i>|E_i(x)> over all m codeword positions."""
+    _check_bits(x, code.n, "x")
     if code.m > MAX_FINGERPRINT_M:
         raise CapabilityError(
             f"codeword length {code.m} exceeds the fingerprint guard "
             f"{MAX_FINGERPRINT_M}"
         )
-
-
-def make_fingerprint(code: BinaryCode, x: str) -> Fingerprint:
-    """Uniform superposition of |i>|E_i(x)> over all m codeword positions."""
-    _check_bits(x, code.n, "x")
-    _check_fingerprint_length(code)
     bits = _codeword_bits(code, x).astype(np.int64)
     amps = np.zeros(2 * code.m, dtype=np.complex128)
     amps[2 * np.arange(code.m) + bits] = 1.0 / np.sqrt(code.m)

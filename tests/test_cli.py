@@ -1,4 +1,6 @@
 import json
+import math
+import time
 
 import pytest
 
@@ -68,6 +70,14 @@ class TestPermTest:
         results = report["results"]
         assert "skipped" in results["projection"]
         assert results["closed_form"] >= 0.0
+
+    def test_k5_projection_is_fast_and_exact(self, tmp_path):
+        start = time.perf_counter()
+        report = run_json(tmp_path, ["perm-test", "--k", "5", "--gamma", "0.5"])
+        assert time.perf_counter() - start < 5.0
+        results = report["results"]
+        assert results["projection"] == pytest.approx(results["closed_form"],
+                                                      abs=1e-9)
 
     def test_gamma_out_of_range(self):
         assert main(["perm-test", "--k", "2", "--gamma", "1.5"]) == EXIT_USAGE
@@ -166,6 +176,17 @@ class TestSmpRun:
         report = run_json(tmp_path, ["smp-run", "--protocol", "mixture",
                                      "--n", "63", "--trials", "2"])
         assert report["results"]["trials"] == 2
+
+    def test_quantum_past_the_fingerprint_guard(self, tmp_path):
+        # m = 2^40: the engine needs agreements only, never a fingerprint
+        k, trials = 3, 4000
+        report = run_json(tmp_path, [
+            "smp-run", "--protocol", "quantum", "--n", "40", "--k", str(k),
+            "--trials", str(trials), "--pair-source", "forced-unequal",
+        ])
+        p = (5 / 8) ** k
+        error = report["results"]["empirical_error_unequal"]
+        assert abs(error - p) <= 5 * math.sqrt(p * (1 - p) / trials)
 
     def test_mixture_forced_equal(self, tmp_path):
         report = run_json(tmp_path, [

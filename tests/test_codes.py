@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -223,6 +224,24 @@ class TestWeightDistribution:
         counts = _weight_distribution(code)
         assert counts[0] == 1 and counts.sum() == 2**code.n
         assert np.array_equal(counts, reference_weight_distribution(code))
+
+
+def test_weight_distribution_peak_memory_near_generator_size():
+    # a declared code with a long generator: the n columns are packed from
+    # the generator itself, with no (n, m) intermediate of 64-bit words
+    n, m = 5, 2**16
+    generator = np.random.default_rng(8).integers(0, 2, (m, n), dtype=np.uint8)
+    generator[:n] = np.eye(n, dtype=np.uint8)
+    code = declared_code(n, m, generator=generator)
+    tracemalloc.start()
+    try:
+        counts = _weight_distribution(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 2**n
+    # A_w for w = 0..m alone takes 8(m + 1) bytes, 1.6x the generator here
+    assert peak <= 5 * generator.nbytes
 
 
 class TestAgreementFraction:

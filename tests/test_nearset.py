@@ -89,6 +89,16 @@ class TestSampleVectorSet:
             VectorSet(signs=np.zeros((3, 4), dtype=np.int8), d=4)
 
 
+def all_pairs_reference(vset, delta):
+    """(max |numerator|, pairs with |overlap| > delta) from int64 products."""
+    signs = vset.signs.astype(np.int64)
+    upper = np.triu(np.ones((vset.count, vset.count), dtype=bool), 1)
+    nums, counts = np.unique(np.abs(signs @ signs.T)[upper], return_counts=True)
+    violations = sum(int(c) for v, c in zip(nums, counts)
+                     if Fraction(int(v), vset.d) > Fraction(delta))
+    return int(nums.max()), violations
+
+
 class TestAuditOverlaps:
     def test_antipodal_pair_maxes_out(self):
         signs = np.ones((2, 16), dtype=np.int8)
@@ -114,6 +124,28 @@ class TestAuditOverlaps:
         assert audit.violating_pairs == 0
         audit = audit_overlaps(VectorSet(signs=signs, d=4), 0.49)
         assert audit.violating_pairs == 1
+
+    @pytest.mark.parametrize("count", [1025, 2049])
+    def test_matches_int64_all_pairs_reference(self, count):
+        # counts past one and two blocks of 1024 rows
+        vset = sample_vector_set(count, 24, seed=count)
+        for delta in (0.5, 0.75):
+            max_num, violations = all_pairs_reference(vset, delta)
+            audit = audit_overlaps(vset, delta)
+            assert violations > 0
+            assert audit.max_abs_overlap == max_num / 24
+            assert audit.violating_pairs == violations
+
+    def test_maximum_exactly_on_delta(self):
+        vset = sample_vector_set(1025, 64, seed=77)
+        max_num, _ = all_pairs_reference(vset, 0.5)
+        delta = max_num / 64  # exact, since d is a power of two
+        audit = audit_overlaps(vset, delta)
+        assert audit.max_abs_overlap == delta
+        assert audit.violating_pairs == 0
+        below = np.nextafter(delta, 0.0)
+        assert audit_overlaps(vset, below).violating_pairs == \
+            all_pairs_reference(vset, below)[1] > 0
 
     def test_count_guard(self):
         vset = VectorSet(signs=np.ones((2, 2), dtype=np.int8), d=2)

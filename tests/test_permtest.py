@@ -1,5 +1,7 @@
+import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -27,6 +29,17 @@ from qfplab import (
 
 GAMMA_GRID = [0.0, 0.25, 0.5, 0.75, 0.9]
 DELTA_GRID = [Fraction(j, 10) for j in range(10)]
+
+
+def full_symmetrization(phi, psi, k):
+    """Reference: average phi^k x psi^k over every permutation in S_{2k}."""
+    d, n_regs = phi.dim, 2 * k
+    vecs = [phi.amplitudes] * k + [psi.amplitudes] * k
+    product = reduce(np.kron, vecs).reshape((d,) * n_regs)
+    acc = np.zeros_like(product)
+    for sigma in itertools.permutations(range(n_regs)):
+        acc += product.transpose(sigma)
+    return float(np.vdot(acc, acc).real) / math.factorial(n_regs) ** 2
 
 
 class TestClosedForm:
@@ -85,6 +98,24 @@ class TestProjectionOracle:
             p_eq_closed_form(k, gamma), abs=1e-9
         )
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_cosets_match_full_permutation_sum(self, k):
+        pairs = [overlap_qubit_pair(g) for g in GAMMA_GRID]
+        pairs += [(random_state(3, seed=(k, s, 0)), random_state(3, seed=(k, s, 1)))
+                  for s in range(3)]
+        for phi, psi in pairs:
+            assert p_eq_projection(phi, psi, k) == pytest.approx(
+                full_symmetrization(phi, psi, k), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize("gamma", GAMMA_GRID)
+    def test_cosets_match_closed_form_past_k3(self, k, gamma):
+        phi, psi = overlap_qubit_pair(gamma)
+        assert p_eq_projection(phi, psi, k) == pytest.approx(
+            float(p_eq_closed_form(k, Fraction(gamma))), abs=1e-12
+        )
+
     def test_complex_states_depend_on_magnitude_only(self):
         phi = random_state(2, seed=31)
         psi = random_state(2, seed=32)
@@ -105,6 +136,13 @@ class TestProjectionOracle:
         phi, psi = overlap_qubit_pair(0.5)
         with pytest.raises(CapabilityError):
             p_eq_projection(phi, psi, 8)
+
+    def test_work_bound_admits_qubits_up_to_k7(self):
+        # C(14, 7) * 2^14 transposed elements sit under the bound 2^26
+        phi, psi = overlap_qubit_pair(0.5)
+        assert p_eq_projection(phi, psi, 7) == pytest.approx(
+            float(p_eq_closed_form(7, Fraction(1, 2))), abs=1e-12
+        )
 
 
 class TestSampling:

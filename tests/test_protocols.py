@@ -58,6 +58,19 @@ class TestQuantumSmp:
                     for a in range(m + 1)]
         assert _swap_p_one(agree, m).tolist() == expected
 
+    @pytest.mark.parametrize("m", [2**40, 2**63])
+    def test_engine_float_exact_past_the_fingerprint_guard(self, m):
+        # hadamard agreements m/2 and m, and agreements a whose m - a and
+        # m + a are exact floats, so only the product rounds
+        agree = [0, 1, m // 4, m // 2 - 2**30, m // 2, m // 2 + 2**30, m]
+        if m < 2**53:
+            rng = np.random.default_rng(40)
+            agree += [int(a) for a in rng.integers(0, m + 1, 200)]
+        expected = [float(1 - p_eq_closed_form(1, Fraction(a, m)))
+                    for a in agree]
+        got = _swap_p_one(np.array(agree, dtype=np.uint64), m).tolist()
+        assert got == expected
+
     def test_accept_probability_exact_rational(self):
         code = hadamard_code(4)
         assert quantum_accept_probability(code, "0101", "0110") == Fraction(5, 8)
@@ -215,12 +228,11 @@ class TestRunExperiment:
         assert misses <= 1
 
     def test_quantum_fingerprint_guard_fails_fast(self):
-        # m = 2^21 is above the fingerprint guard, which the engine checks
-        # before it draws any trial
+        # m = 2^21 is above the fingerprint guard, which make_fingerprint
+        # checks before it builds any amplitude; the engine needs none
         start = time.perf_counter()
         with pytest.raises(CapabilityError, match="fingerprint guard"):
-            run_experiment("quantum", hadamard_code(21), 10, "forced-unequal",
-                           seed=0, k=1)
+            make_fingerprint(hadamard_code(21), "0" * 21)
         assert time.perf_counter() - start < 5.0
 
     def test_unknown_protocol_rejected(self):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qfplab.swaptest
 from qfplab import (
     DomainError,
     InputShapeError,
@@ -48,6 +49,14 @@ class TestAnalytic:
             swap_test_analytic(random_state(4, seed=1), random_state(8, seed=1))
 
 
+def assert_closed_form_state(phi, psi):
+    joint = swap_test_circuit_state(phi, psi)
+    fwd = np.outer(phi.amplitudes, psi.amplitudes)
+    rev = np.outer(psi.amplitudes, phi.amplitudes)
+    np.testing.assert_allclose(joint[0], 0.5 * (fwd + rev), atol=1e-10)
+    np.testing.assert_allclose(joint[1], 0.5 * (fwd - rev), atol=1e-10)
+
+
 class TestCircuit:
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
     def test_matches_analytic_on_random_pairs(self, dim):
@@ -67,13 +76,25 @@ class TestCircuit:
         assert swap_test_circuit(phi, psi).p_one == pytest.approx(0.375, abs=1e-10)
 
     def test_pre_measurement_state_structure(self):
-        phi = random_state(4, seed=21)
-        psi = random_state(4, seed=22)
-        joint = swap_test_circuit_state(phi, psi)
-        fwd = np.outer(phi.amplitudes, psi.amplitudes)
-        rev = np.outer(psi.amplitudes, phi.amplitudes)
-        np.testing.assert_allclose(joint[0], 0.5 * (fwd + rev), atol=1e-10)
-        np.testing.assert_allclose(joint[1], 0.5 * (fwd - rev), atol=1e-10)
+        assert_closed_form_state(random_state(4, seed=21),
+                                 random_state(4, seed=22))
+
+    def test_last_hadamard_covers_every_row_block(self):
+        # at dim 300 the last Hadamard runs over two row blocks, one partial
+        assert_closed_form_state(random_state(300, seed=25),
+                                 random_state(300, seed=26))
+
+    def test_perturbed_state_fails_the_closed_form_check(self, monkeypatch):
+        evolve = qfplab.swaptest.swap_test_circuit_state
+
+        def perturbed(phi, psi):
+            joint = evolve(phi, psi)
+            joint[1, 0, 1] += 1e-9
+            return joint
+
+        monkeypatch.setattr(qfplab.swaptest, "swap_test_circuit_state", perturbed)
+        with pytest.raises(ArithmeticError):
+            swap_test_circuit(random_state(4, seed=23), random_state(4, seed=24))
 
     def test_symmetric_in_roles(self):
         phi = random_state(8, seed=31)
