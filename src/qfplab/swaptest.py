@@ -2,9 +2,9 @@
 
 * analytic: p(outcome 1) = 1 - p_eq(1, |<phi|psi>|) from the inner
   product, the k = 1 case of the permutation test's closed form.
-* circuit: full state-vector evolution, in place on one (2, D, D) array,
-  of H on the control, a controlled register exchange, H again, then the
-  Born probability of control = 1.
+* circuit: full state-vector evolution, on one (2, D, D) array in row
+  blocks, of H on the control, a controlled register exchange, H again,
+  then the Born probability of control = 1.
 
 Seeded sampling at the analytic rate is ``permtest.sample_rate``.
 
@@ -26,8 +26,9 @@ from .permtest import p_eq_closed_form
 from .qstate import MAX_STATE_DIM, PureState
 
 _HALF_TOL = 1e-12
-# Amplitudes per row block of the circuit's last Hadamard (1 MB of scratch).
-_H_BLOCK = 1 << 16
+# Amplitudes per row block of the circuit and its check (256 kB of
+# complex128), so each block's gates run in cache.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,33 @@ def swap_test_analytic(phi: PureState, psi: PureState) -> SwapTestResult:
     return _result(p_one_for_overlap(g), "analytic")
 
 
+def _block_rows(d: int) -> int:
+    return max(1, _BLOCK // d)
+
+
+def _row_blocks(d: int):
+    """Slices of ``_block_rows(d)`` rows that cover range(d)."""
+    rows = _block_rows(d)
+    return (slice(r, min(r + rows, d)) for r in range(0, d, rows))
+
+
+def _scaled_columns(a, b, cols: slice, scale: float, out: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` of scale * (a x b), transposed: rows of its transpose."""
+    slab = out[:, :cols.stop - cols.start]
+    np.multiply(a[:, None], b[None, cols], out=slab)
+    slab *= scale
+    return slab.T
+
+
 def swap_test_circuit_state(phi: PureState, psi: PureState) -> np.ndarray:
     """Pre-measurement joint state of (H x I)(c-SWAP)(H x I)|0>|phi>|psi>.
 
     Returned with shape (2, D, D): control, then the two payload registers.
-    The gates act in place on that one array; the last Hadamard runs over
-    row blocks, so each output amplitude is (a + b)/sqrt(2) or
-    (a - b)/sqrt(2) rounded exactly as in a dense evaluation.
+    The gates run over row blocks of that one array, each block through
+    all three gates while it is in cache.  Rows of the exchanged control=1
+    branch are columns of the unexchanged one, so each block transposes a
+    column slab of the first Hadamard's output.  Every amplitude is
+    rounded exactly as in a dense evaluation of the same gates.
     """
     if phi.shape != psi.shape:
         raise InputShapeError(f"shape mismatch: {phi.shape} vs {psi.shape}")
@@ -85,21 +106,21 @@ def swap_test_circuit_state(phi: PureState, psi: PureState) -> np.ndarray:
             f"joint dimension 2*{d}^2 exceeds the guard {MAX_STATE_DIM}"
         )
     s = 1.0 / math.sqrt(2.0)
+    a, b = phi.amplitudes, psi.amplitudes
     joint = np.empty((2, d, d), dtype=np.complex128)
-    # H on the control of |0>|phi>|psi>: both branches hold the product
-    np.outer(phi.amplitudes, psi.amplitudes, out=joint[0])
-    joint[0] *= s
-    joint[1] = joint[0]
-    # exchange the registers where control = 1 (numpy buffers the overlap)
-    joint[1] = joint[1].T
-    # H on the control
-    rows = max(1, _H_BLOCK // d)
-    for r in range(0, d, rows):
-        zero, one = joint[0, r:r + rows], joint[1, r:r + rows]
+    scratch = np.empty((d, _block_rows(d)), dtype=np.complex128)
+    for rows in _row_blocks(d):
+        zero, one = joint[0, rows], joint[1, rows]
+        # H on the control of |0>|phi>|psi>: both branches hold s * phi x psi
+        np.multiply(a[rows, None], b, out=zero)
+        zero *= s
+        # exchange the registers where control = 1
+        one[...] = _scaled_columns(a, b, rows, s, scratch)
+        # H on the control
         diff = zero - one
         zero += one
-        one[...] = diff
-    joint *= s
+        zero *= s
+        np.multiply(diff, s, out=one)
     return joint
 
 
@@ -108,17 +129,31 @@ def swap_test_circuit(phi: PureState, psi: PureState) -> SwapTestResult:
 
     The evolved state is checked on every call against the closed form
     (fwd + rev)/2, (fwd - rev)/2 with fwd = phi x psi and rev = psi x phi:
-    its largest amplitude error must be at most 1e-10.
+    its largest amplitude error must be at most 1e-10.  The check runs
+    over the same row blocks as the evolution.
     """
     joint = swap_test_circuit_state(phi, psi)
-    p_one = float(np.sum(np.abs(joint[1]) ** 2))
+    magnitudes = np.abs(joint[1])
+    p_one = float(np.sum(np.square(magnitudes, out=magnitudes)))
+    del magnitudes
     # the check reuses the evolved state: joint[c] -= (fwd +/- fwd.T)/2
-    half_fwd = np.outer(phi.amplitudes, psi.amplitudes)
-    half_fwd *= 0.5
-    joint -= half_fwd
-    joint[0] -= half_fwd.T
-    joint[1] += half_fwd.T
-    error = float(np.abs(joint).max())
+    a, b = phi.amplitudes, psi.amplitudes
+    d = phi.dim
+    scratch = np.empty((d, _block_rows(d)), dtype=np.complex128)
+    half_fwd = np.empty((_block_rows(d), d), dtype=np.complex128)
+    block_errors = []
+    for rows in _row_blocks(d):
+        zero, one = joint[0, rows], joint[1, rows]
+        half = half_fwd[:rows.stop - rows.start]
+        np.multiply(a[rows, None], b, out=half)
+        half *= 0.5
+        half_rev = _scaled_columns(a, b, rows, 0.5, scratch)
+        zero -= half
+        one -= half
+        zero -= half_rev
+        one += half_rev
+        block_errors.append(np.abs(joint[:, rows]).max())
+    error = float(np.max(block_errors))  # a NaN in any block propagates
     if not error <= 1e-10:
         raise ArithmeticError(
             f"circuit evolution disagrees with the closed-form final state "

@@ -80,9 +80,19 @@ class TestCircuit:
                                  random_state(4, seed=22))
 
     def test_last_hadamard_covers_every_row_block(self):
-        # at dim 300 the last Hadamard runs over two row blocks, one partial
+        # at dim 300 the circuit runs over six row blocks of 54, the last partial
         assert_closed_form_state(random_state(300, seed=25),
                                  random_state(300, seed=26))
+
+    @pytest.mark.parametrize("dim", [3, 300, 1024])
+    def test_blocked_state_equals_dense_gates_bit_for_bit(self, dim):
+        phi = random_state(dim, seed=(dim, 27))
+        psi = random_state(dim, seed=(dim, 28))
+        s = 1.0 / math.sqrt(2.0)
+        branch = np.outer(phi.amplitudes, psi.amplitudes) * s
+        exchanged = branch.T.copy()
+        dense = np.stack([(branch + exchanged) * s, (branch - exchanged) * s])
+        assert np.array_equal(swap_test_circuit_state(phi, psi), dense)
 
     def test_perturbed_state_fails_the_closed_form_check(self, monkeypatch):
         evolve = qfplab.swaptest.swap_test_circuit_state
