@@ -50,6 +50,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
+# Defaults of flags that some modes do not read; another value there exits 2.
+_DEFAULT_C, _DEFAULT_CODE_SEED, _DEFAULT_PAIRS = 3, 0, 100000
+
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -97,6 +100,9 @@ def _wrap(command: str, args: argparse.Namespace, results: dict) -> dict:
 
 def _build_code(args: argparse.Namespace) -> BinaryCode:
     if args.code == "hadamard":
+        if (args.c, args.code_seed) != (_DEFAULT_C, _DEFAULT_CODE_SEED):
+            raise QfpError("--c and --code-seed are only read with "
+                           "--code random-linear")
         return hadamard_code(args.n)
     return random_linear_code(args.n, args.c, args.code_seed)
 
@@ -106,9 +112,9 @@ def _add_code_flags(parser: argparse.ArgumentParser) -> None:
                         default="hadamard")
     parser.add_argument("--n", type=int, required=True,
                         help="message length in bits")
-    parser.add_argument("--c", type=int, default=3,
+    parser.add_argument("--c", type=int, default=_DEFAULT_C,
                         help="codeword length multiple for random-linear")
-    parser.add_argument("--code-seed", type=int, default=0,
+    parser.add_argument("--code-seed", type=int, default=_DEFAULT_CODE_SEED,
                         help="generator sampling seed for random-linear")
 
 
@@ -120,6 +126,8 @@ def _add_io_flags(parser: argparse.ArgumentParser,
 
 
 def cmd_swap_test(args: argparse.Namespace) -> int:
+    if args.x_equals_y and args.y is not None:
+        raise QfpError("--y is not read with --x-equals-y")
     code = _build_code(args)
     x = _check_bits(args.x, code.n, "--x")
     y = x if args.x_equals_y else _check_bits(args.y, code.n, "--y")
@@ -200,11 +208,16 @@ def cmd_smp_run(args: argparse.Namespace) -> int:
 
 def cmd_nearset(args: argparse.Namespace) -> int:
     if args.pair_mode:
+        if (args.n, args.count, args.gram_size, args.seeds) != (None, None, 0, 1):
+            raise QfpError("--n, --count, --gram-size and --seeds are only "
+                           "read in set mode, without --pair-mode")
         if args.d is None:
             raise QfpError("--pair-mode requires --d")
         audit = sample_pair_audit(args.pairs, args.d, args.delta, args.seed)
         results: dict = {"mode": "pairs", "audit": audit.to_json()}
     else:
+        if args.pairs != _DEFAULT_PAIRS:
+            raise QfpError("--pairs is only read with --pair-mode")
         if args.n is None:
             raise QfpError("set mode requires --n")
         if args.seeds < 1:
@@ -301,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=1,
                    help="number of audited sets (set mode)")
     p.add_argument("--pair-mode", action="store_true")
-    p.add_argument("--pairs", type=int, default=100000,
+    p.add_argument("--pairs", type=int, default=_DEFAULT_PAIRS,
                    help="sampled pair count (pair mode)")
     p.add_argument("--gram-size", type=int, default=0,
                    help="also run a Gram dominance/rank check of this size")

@@ -181,7 +181,8 @@ def sample_pair_audit(pairs: int, d: int, delta: float, seed) -> OverlapAudit:
         rng = np.random.default_rng(child)
         v = rng.integers(0, 2, size=(size, d), dtype=np.int8) * 2 - 1
         w = rng.integers(0, 2, size=(size, d), dtype=np.int8) * 2 - 1
-        nums = np.abs((v.astype(np.int32) * w).sum(axis=1))
+        # numerator d <v, w> = agreements - disagreements = d - 2 disagreements
+        nums = np.abs(d - 2 * np.count_nonzero(v != w, axis=1))
         max_num = max(max_num, int(nums.max()))
         violations += int(np.count_nonzero(nums >= threshold))
     return OverlapAudit(

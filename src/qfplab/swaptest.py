@@ -2,15 +2,17 @@
 
 * analytic: p(outcome 1) = 1 - p_eq(1, |<phi|psi>|) from the inner
   product, the k = 1 case of the permutation test's closed form.
-* circuit: full state-vector evolution, on one (2, D, D) array in row
-  blocks, of H on the control, a controlled register exchange, H again,
-  then the Born probability of control = 1.
+* circuit: state-vector evolution of H on the control, a controlled
+  register exchange and H again, one row block of the (2, D, D) state at
+  a time, then the Born probability of control = 1.  The state is never
+  held whole, so its guard 2 D^2 <= MAX_STATE_DIM bounds work, not memory.
 
 Seeded sampling at the analytic rate is ``permtest.sample_rate``.
 
-The circuit path cross-checks its pre-measurement state against the
-closed-form superposition of the symmetrized and antisymmetrized inputs,
-so the two exact routes validate each other on every call.
+The circuit path cross-checks its pre-measurement state, block by block,
+against the closed-form superposition of the symmetrized and
+antisymmetrized inputs, so the two exact routes validate each other on
+every call.
 """
 
 from __future__ import annotations
@@ -34,21 +36,18 @@ _BLOCK = 1 << 14
 @dataclass(frozen=True)
 class SwapTestResult:
     p_one: float
-    p_zero: float
     method: str
 
     def __post_init__(self) -> None:
-        if abs(self.p_one + self.p_zero - 1.0) > 1e-12:
-            raise DomainError("p_one and p_zero must sum to 1")
         if self.p_one > 0.5 + _HALF_TOL:
             raise DomainError(f"p_one = {self.p_one!r} exceeds 1/2")
 
+    @property
+    def p_zero(self) -> float:
+        return 1.0 - self.p_one
+
     def to_json(self) -> dict:
         return {"p_one": self.p_one, "method": self.method}
-
-
-def _result(p_one: float, method: str) -> SwapTestResult:
-    return SwapTestResult(p_one=p_one, p_zero=1.0 - p_one, method=method)
 
 
 def p_one_for_overlap(overlap):
@@ -67,36 +66,15 @@ def swap_test_analytic(phi: PureState, psi: PureState) -> SwapTestResult:
     if phi.shape != psi.shape:
         raise InputShapeError(f"shape mismatch: {phi.shape} vs {psi.shape}")
     g = abs(np.vdot(phi.amplitudes, psi.amplitudes))
-    return _result(p_one_for_overlap(g), "analytic")
+    return SwapTestResult(p_one_for_overlap(g), "analytic")
 
 
-def _block_rows(d: int) -> int:
-    return max(1, _BLOCK // d)
-
-
-def _row_blocks(d: int):
-    """Slices of ``_block_rows(d)`` rows that cover range(d)."""
-    rows = _block_rows(d)
-    return (slice(r, min(r + rows, d)) for r in range(0, d, rows))
-
-
-def _scaled_columns(a, b, cols: slice, scale: float, out: np.ndarray) -> np.ndarray:
-    """Columns ``cols`` of scale * (a x b), transposed: rows of its transpose."""
-    slab = out[:, :cols.stop - cols.start]
-    np.multiply(a[:, None], b[None, cols], out=slab)
-    slab *= scale
-    return slab.T
-
-
-def swap_test_circuit_state(phi: PureState, psi: PureState) -> np.ndarray:
-    """Pre-measurement joint state of (H x I)(c-SWAP)(H x I)|0>|phi>|psi>.
-
-    Returned with shape (2, D, D): control, then the two payload registers.
-    The gates run over row blocks of that one array, each block through
-    all three gates while it is in cache.  Rows of the exchanged control=1
-    branch are columns of the unexchanged one, so each block transposes a
-    column slab of the first Hadamard's output.  Every amplitude is
-    rounded exactly as in a dense evaluation of the same gates.
+def _evolved_blocks(phi: PureState, psi: PureState):
+    """Yield ``(rows, evolved, half_fwd, half_rev)``: rows ``rows`` of the
+    circuit's (2, D, D) final state and of (phi x psi)/2 and (psi x phi)/2,
+    as views of buffers that the next block overwrites.  Every amplitude is
+    rounded exactly as in a dense evaluation of the same gates.  The inputs
+    are checked before the first block.
     """
     if phi.shape != psi.shape:
         raise InputShapeError(f"shape mismatch: {phi.shape} vs {psi.shape}")
@@ -107,20 +85,41 @@ def swap_test_circuit_state(phi: PureState, psi: PureState) -> np.ndarray:
         )
     s = 1.0 / math.sqrt(2.0)
     a, b = phi.amplitudes, psi.amplitudes
-    joint = np.empty((2, d, d), dtype=np.complex128)
-    scratch = np.empty((d, _block_rows(d)), dtype=np.complex128)
-    for rows in _row_blocks(d):
-        zero, one = joint[0, rows], joint[1, rows]
-        # H on the control of |0>|phi>|psi>: both branches hold s * phi x psi
-        np.multiply(a[rows, None], b, out=zero)
-        zero *= s
-        # exchange the registers where control = 1
-        one[...] = _scaled_columns(a, b, rows, s, scratch)
+    height = max(1, _BLOCK // d)
+    fwd_rows = np.empty((height, d), dtype=np.complex128)
+    # rows of psi x phi are columns of phi x psi
+    fwd_cols = np.empty((d, height), dtype=np.complex128)
+    evolved_rows = np.empty((2, height, d), dtype=np.complex128)
+    for start in range(0, d, height):
+        rows = slice(start, min(start + height, d))
+        n = rows.stop - start
+        fwd, rev, evolved = fwd_rows[:n], fwd_cols[:, :n].T, evolved_rows[:, :n]
+        zero, one = evolved
+        np.multiply(a[rows, None], b, out=fwd)
+        np.multiply(a[:, None], b[None, rows], out=rev.T)
+        # H on the control of |0>|phi>|psi>, exchange where control = 1
+        np.multiply(fwd, s, out=zero)
+        np.multiply(rev, s, out=one)
         # H on the control
         diff = zero - one
         zero += one
         zero *= s
         np.multiply(diff, s, out=one)
+        fwd *= 0.5
+        rev *= 0.5
+        yield rows, evolved, fwd, rev
+
+
+def swap_test_circuit_state(phi: PureState, psi: PureState) -> np.ndarray:
+    """Pre-measurement joint state of (H x I)(c-SWAP)(H x I)|0>|phi>|psi>.
+
+    Returned with shape (2, D, D): control, then the two payload registers,
+    copied from the row blocks that ``swap_test_circuit`` reads.
+    """
+    for rows, evolved, _, _ in _evolved_blocks(phi, psi):
+        if rows.start == 0:  # allocated once the inputs have passed the guard
+            joint = np.empty((2, phi.dim, phi.dim), dtype=np.complex128)
+        joint[:, rows] = evolved
     return joint
 
 
@@ -129,37 +128,23 @@ def swap_test_circuit(phi: PureState, psi: PureState) -> SwapTestResult:
 
     The evolved state is checked on every call against the closed form
     (fwd + rev)/2, (fwd - rev)/2 with fwd = phi x psi and rev = psi x phi:
-    its largest amplitude error must be at most 1e-10.  The check runs
-    over the same row blocks as the evolution.
+    its largest amplitude error must be at most 1e-10.  Each row block is
+    evolved, measured and checked once; the (2, D, D) state is never held.
     """
-    joint = swap_test_circuit_state(phi, psi)
-    magnitudes = np.abs(joint[1])
-    p_one = float(np.sum(np.square(magnitudes, out=magnitudes)))
-    del magnitudes
-    # the check reuses the evolved state: joint[c] -= (fwd +/- fwd.T)/2
-    a, b = phi.amplitudes, psi.amplitudes
-    d = phi.dim
-    scratch = np.empty((d, _block_rows(d)), dtype=np.complex128)
-    half_fwd = np.empty((_block_rows(d), d), dtype=np.complex128)
-    block_errors = []
-    for rows in _row_blocks(d):
-        zero, one = joint[0, rows], joint[1, rows]
-        half = half_fwd[:rows.stop - rows.start]
-        np.multiply(a[rows, None], b, out=half)
-        half *= 0.5
-        half_rev = _scaled_columns(a, b, rows, 0.5, scratch)
-        zero -= half
-        one -= half
-        zero -= half_rev
-        one += half_rev
-        block_errors.append(np.abs(joint[:, rows]).max())
-    error = float(np.max(block_errors))  # a NaN in any block propagates
+    p_one = error = 0.0
+    for _, evolved, half_fwd, half_rev in _evolved_blocks(phi, psi):
+        p_one += float(np.sum(np.square(np.abs(evolved[1]))))
+        evolved -= half_fwd
+        evolved[0] -= half_rev
+        evolved[1] += half_rev
+        # unlike max, np.maximum keeps a NaN from any block
+        error = np.maximum(error, np.abs(evolved).max())
     if not error <= 1e-10:
         raise ArithmeticError(
             f"circuit evolution disagrees with the closed-form final state "
-            f"by {error!r}"
+            f"by {float(error)!r}"
         )
-    return _result(min(p_one, 0.5), "circuit")
+    return SwapTestResult(min(p_one, 0.5), "circuit")
 
 
 def repetitions_for_error(epsilon: float, delta: float) -> int:

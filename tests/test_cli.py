@@ -249,6 +249,32 @@ def test_csv_only_on_smp_run_exit_2(argv, tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["swap-test", "--n", "3", "--x", "010", "--y", "011", "--x-equals-y"],
+     "--y"),
+    (["swap-test", "--n", "3", "--x", "010", "--y", "011", "--c", "4"], "--c"),
+    (["smp-run", "--protocol", "quantum", "--n", "3", "--trials", "10",
+      "--code-seed", "5"], "--code-seed"),
+    (["codes", "--code", "hadamard", "--n", "3", "--c", "5"], "--c"),
+    (["nearset", "--pair-mode", "--d", "50", "--delta", "0.3", "--n", "4"],
+     "--n"),
+    (["nearset", "--pair-mode", "--d", "50", "--delta", "0.3", "--count", "8"],
+     "--count"),
+    (["nearset", "--pair-mode", "--d", "50", "--delta", "0.3",
+      "--gram-size", "3"], "--gram-size"),
+    (["nearset", "--pair-mode", "--d", "50", "--delta", "0.3", "--seeds", "2"],
+     "--seeds"),
+    (["nearset", "--n", "4", "--delta", "0.3", "--pairs", "500"], "--pairs"),
+], ids=["swap-y-with-x-equals-y", "swap-c-hadamard", "smp-code-seed-hadamard",
+        "codes-c-hadamard", "pair-mode-n", "pair-mode-count",
+        "pair-mode-gram-size", "pair-mode-seeds", "set-mode-pairs"])
+def test_flag_the_mode_ignores_exit_2(argv, flag, tmp_path, capsys):
+    path = tmp_path / "report"
+    assert main(argv + ["--out", str(path)]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not path.exists()
+
+
 class TestCodesCommand:
     def test_certificate(self, tmp_path):
         report = run_json(tmp_path, ["codes", "--code", "hadamard", "--n", "4"])

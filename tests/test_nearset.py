@@ -147,6 +147,25 @@ class TestAuditOverlaps:
         assert audit_overlaps(vset, below).violating_pairs == \
             all_pairs_reference(vset, below)[1] > 0
 
+    def test_violation_count_matches_exact_binomial_tail(self):
+        # a pair's numerator is 2a - d with a ~ Binomial(d, 1/2); the pair
+        # events are pairwise independent (v_i * v_j and v_i * v_k are
+        # independent uniform sign vectors), so the count's variance is
+        # exactly N p (1 - p)
+        d, delta, count, sets = 100, 0.2, 64, 20
+        p = Fraction(sum(math.comb(d, a) for a in range(d + 1)
+                         if Fraction(abs(2 * a - d), d) > Fraction(delta)),
+                     2**d)
+        root = np.random.SeedSequence(2024)
+        violations = sum(
+            audit_overlaps(sample_vector_set(count, d, child), delta)
+            .violating_pairs
+            for child in root.spawn(sets)
+        )
+        pairs = sets * math.comb(count, 2)
+        sigma = math.sqrt(pairs * p * (1 - p))
+        assert abs(violations - pairs * p) <= 5 * sigma
+
     def test_count_guard(self):
         vset = VectorSet(signs=np.ones((2, 2), dtype=np.int8), d=2)
         big = VectorSet(signs=np.ones(((1 << 14) + 1, 1), dtype=np.int8), d=1)

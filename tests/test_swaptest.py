@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import qfplab.swaptest
 from qfplab import (
+    CapabilityError,
     DomainError,
     InputShapeError,
     PureState,
@@ -57,6 +59,34 @@ def assert_closed_form_state(phi, psi):
     np.testing.assert_allclose(joint[1], 0.5 * (fwd - rev), atol=1e-10)
 
 
+def perturb_amplitude(monkeypatch, index, change):
+    """Make the circuit's block generator pass on one changed amplitude.
+
+    ``index`` is (branch, row, column) in the (2, D, D) evolved state.
+    """
+    evolve = qfplab.swaptest._evolved_blocks
+    branch, row, col = index
+
+    def perturbed(phi, psi):
+        for rows, evolved, half_fwd, half_rev in evolve(phi, psi):
+            if rows.start <= row < rows.stop:
+                at = (branch, row - rows.start, col)
+                evolved[at] = change(evolved[at])
+            yield rows, evolved, half_fwd, half_rev
+
+    monkeypatch.setattr(qfplab.swaptest, "_evolved_blocks", perturbed)
+
+
+def traced_peak(call):
+    """Peak bytes allocated through Python's allocators during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCircuit:
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
     def test_matches_analytic_on_random_pairs(self, dim):
@@ -95,16 +125,35 @@ class TestCircuit:
         assert np.array_equal(swap_test_circuit_state(phi, psi), dense)
 
     def test_perturbed_state_fails_the_closed_form_check(self, monkeypatch):
-        evolve = qfplab.swaptest.swap_test_circuit_state
-
-        def perturbed(phi, psi):
-            joint = evolve(phi, psi)
-            joint[1, 0, 1] += 1e-9
-            return joint
-
-        monkeypatch.setattr(qfplab.swaptest, "swap_test_circuit_state", perturbed)
+        perturb_amplitude(monkeypatch, (1, 0, 1), lambda z: z + 1e-9)
         with pytest.raises(ArithmeticError):
             swap_test_circuit(random_state(4, seed=23), random_state(4, seed=24))
+
+    @pytest.mark.parametrize("index,change", [
+        ((1, 299, 7), lambda z: z + 1e-9),
+        ((0, 299, 7), lambda z: np.nan),
+    ], ids=["shifted", "nan"])
+    def test_last_row_block_is_checked(self, monkeypatch, index, change):
+        # at dim 300 row 299 lies in the last of six row blocks
+        perturb_amplitude(monkeypatch, index, change)
+        with pytest.raises(ArithmeticError):
+            swap_test_circuit(random_state(300, seed=25),
+                              random_state(300, seed=26))
+
+    def test_circuit_never_holds_the_joint_state(self):
+        phi = random_state(1024, seed=29)
+        psi = random_state(1024, seed=30)
+        # the (2, D, D) complex128 state alone would take 32 MiB
+        assert traced_peak(lambda: swap_test_circuit(phi, psi)) < 4 * 2**20
+
+    @pytest.mark.parametrize("oracle", [swap_test_circuit,
+                                        swap_test_circuit_state])
+    def test_inputs_checked_before_any_allocation(self, oracle):
+        big = random_state(2048, seed=33)  # 2 * 2048^2 = 2^23 > the guard
+        assert traced_peak(
+            lambda: pytest.raises(CapabilityError, oracle, big, big)) < 2**20
+        with pytest.raises(InputShapeError):
+            oracle(random_state(4, seed=34), random_state(8, seed=34))
 
     def test_symmetric_in_roles(self):
         phi = random_state(8, seed=31)
