@@ -222,6 +222,8 @@ def cmd_nearset(args: argparse.Namespace) -> int:
             raise QfpError("set mode requires --n")
         if args.seeds < 1:
             raise QfpError(f"--seeds must be >= 1, got {args.seeds}")
+        if args.gram_size < 0 or args.gram_size == 1:
+            raise QfpError(f"--gram-size must be 0 or >= 2, got {args.gram_size}")
         d = args.d if args.d is not None else required_dimension(args.n, args.delta)
         count = args.count if args.count is not None else 2**args.n
         if count > AUDIT_MAX_COUNT:
@@ -317,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=_DEFAULT_PAIRS,
                    help="sampled pair count (pair mode)")
     p.add_argument("--gram-size", type=int, default=0,
-                   help="also run a Gram dominance/rank check of this size")
+                   help="also run a Gram dominance/rank check of this many "
+                        "vectors (0 skips it, else at least 2)")
     _add_io_flags(p)
     p.set_defaults(func=cmd_nearset)
 
@@ -347,3 +350,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -18,6 +18,7 @@ in closed form.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -39,30 +40,29 @@ CERTIFY_MAX_WORDS = 2**25
 _TABLE_WORDS = 2**14
 # Hadamard positions are codeword rows of one 64-bit word each.
 HADAMARD_MAX_N = 63
+_HEX_ROW = re.compile(r"[0-9a-fA-F]+")
 
 
 def _check_bits(s: str, n: int, name: str) -> str:
-    if not isinstance(s, str) or len(s) != n or any(ch not in "01" for ch in s):
+    if not isinstance(s, str) or len(s) != n or s.strip("01"):
         raise InputShapeError(
             f"{name} must be a bit-string of length {n}, got {s!r}"
         )
     return s
 
 
-def _gf2_rank(rows: list[int], limit: int) -> int:
-    """Rank of a GF(2) matrix given as row bit-masks (LSB = column 1)."""
+def _gf2_rank(generator: np.ndarray, limit: int) -> int:
+    """GF(2) rank of a 0/1 matrix's rows, read lazily until it reaches ``limit``."""
     pivots: list[int] = []
-    rank = 0
-    for row in rows:
+    for row in _row_ints(generator):
         for p in pivots:
             row = min(row, row ^ p)
         if row:
             pivots.append(row)
             pivots.sort(reverse=True)
-            rank += 1
-            if rank == limit:
+            if len(pivots) == limit:
                 break
-    return rank
+    return len(pivots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +116,7 @@ class BinaryCode:
                     f"generator must be an (m, n)={self.m, self.n} 0/1 matrix"
                 )
             object.__setattr__(self, "generator", g)
-            rows = [_row_int(g[r]) for r in range(self.m)]
-            if _gf2_rank(rows, self.n) != self.n:
+            if _gf2_rank(g, self.n) != self.n:
                 raise DomainError(
                     "generator is not injective: some nonzero message encodes to 0"
                 )
@@ -144,23 +143,17 @@ class BinaryCode:
         if self.seed is not None:
             out["seed"] = self.seed
         if self.generator is not None:
-            width = (self.n + 3) // 4
-            out["generator"] = [
-                format(_row_int(self.generator[r]), f"0{width}x")
-                for r in range(self.m)
-            ]
+            out["generator"] = [format(row, f"0{(self.n + 3) // 4}x")
+                                for row in _row_ints(self.generator)]
         if self.declared_delta is not None:
             out["declared_delta"] = str(self.declared_delta)
         return out
 
 
-def _row_int(row: np.ndarray) -> int:
-    return sum(int(b) << j for j, b in enumerate(row))
-
-
 def code_from_json(desc: dict) -> BinaryCode:
     """Rebuild a code from its JSON description.
 
+    Generator rows must be m hex numbers below 2^n, column 1 in the low bit.
     Declared codes round-trip only when they carry a generator; a bare
     encoder callable cannot be serialized.
     """
@@ -168,11 +161,16 @@ def code_from_json(desc: dict) -> BinaryCode:
     n, m = int(desc["n"]), int(desc["m"])
     gen = None
     if "generator" in desc:
-        gen = np.zeros((m, n), dtype=np.uint8)
-        for r, hx in enumerate(desc["generator"]):
-            val = int(hx, 16)
-            for j in range(n):
-                gen[r, j] = (val >> j) & 1
+        rows, size = desc["generator"], -(-n // 8)
+        try:
+            packed = b"".join(int(hx, 16).to_bytes(size, "little")
+                              for hx in rows if _HEX_ROW.fullmatch(hx))
+        except (TypeError, OverflowError):
+            packed = b""
+        bits = np.unpackbits(np.frombuffer(packed, np.uint8), bitorder="little")
+        if bits.size != 8 * size * m or bits.reshape(m, 8 * size)[:, n:].any():
+            raise InputShapeError(f"generator must be m={m} hex rows below 2^{n}")
+        gen = bits.reshape(m, 8 * size)[:, :n]
     delta = Fraction(desc["declared_delta"]) if "declared_delta" in desc else None
     if kind == DECLARED and gen is None:
         raise DomainError("cannot rebuild a declared code without a generator")
@@ -196,8 +194,7 @@ def random_linear_code(n: int, c: int, seed: int) -> BinaryCode:
     rng = np.random.default_rng(seed)
     while True:
         g = rng.integers(0, 2, size=(c * n, n), dtype=np.uint8)
-        rows = [_row_int(g[r]) for r in range(c * n)]
-        if _gf2_rank(rows, n) == n:
+        if _gf2_rank(g, n) == n:
             return BinaryCode(kind=RANDOM_LINEAR, n=n, m=c * n,
                               generator=g, seed=seed)
 
@@ -224,6 +221,10 @@ def _bit_row(x: str) -> np.ndarray:
     return np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")
 
 
+def _bit_str(bits: np.ndarray) -> str:
+    return (bits + ord("0")).tobytes().decode()
+
+
 def _packed_words(bits: np.ndarray) -> np.ndarray:
     """0/1 rows as the uint64 words of the number each row spells MSB-first.
 
@@ -236,14 +237,16 @@ def _packed_words(bits: np.ndarray) -> np.ndarray:
     return words.astype(np.uint64, copy=False)
 
 
+def _row_ints(bits: np.ndarray):
+    """Each row of a 0/1 matrix as a Python int, column 1 in the low bit."""
+    return (int.from_bytes(words.tobytes(), "little")
+            for words in _packed_words(bits[:, ::-1]).astype("<u8", copy=False))
+
+
 def _declared_word(code: BinaryCode, row: np.ndarray) -> np.ndarray:
-    x = (row + ord("0")).tobytes().decode()
+    x = _bit_str(row)
     word = code.encoder(x)  # type: ignore[misc]
-    if len(word) != code.m or any(ch not in "01" for ch in word):
-        raise InputShapeError(
-            f"declared encoder returned an invalid codeword for x={x!r}"
-        )
-    return _bit_row(word)
+    return _bit_row(_check_bits(word, code.m, f"declared codeword of x={x!r}"))
 
 
 def _codeword_bits(code: BinaryCode, x, idx=None) -> np.ndarray:
@@ -275,8 +278,7 @@ def _codeword_bits(code: BinaryCode, x, idx=None) -> np.ndarray:
 def encode(code: BinaryCode, x: str) -> str:
     """Full codeword of ``x`` as a bit-string of length m."""
     _check_bits(x, code.n, "x")
-    bits = _codeword_bits(code, x)
-    return "".join("1" if b else "0" for b in bits)
+    return _bit_str(_codeword_bits(code, x))
 
 
 def bit_at(code: BinaryCode, x: str, i: int) -> int:
@@ -412,9 +414,5 @@ def certify_distance(code: BinaryCode) -> DistanceCertificate:
             dist, method = _min_pairwise_distance(code), "exhaustive"
             if dist == 0:
                 raise DomainError("declared encoder is not injective")
-    return DistanceCertificate(
-        min_distance=dist,
-        max_agreement=Fraction(code.m - dist, code.m),
-        method=method,
-        m=code.m,
-    )
+    return DistanceCertificate(min_distance=dist, method=method, m=code.m,
+                               max_agreement=Fraction(code.m - dist, code.m))

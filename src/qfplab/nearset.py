@@ -179,9 +179,10 @@ def sample_pair_audit(pairs: int, d: int, delta: float, seed) -> OverlapAudit:
     chunks = [block] * (pairs // block) + ([pairs % block] if pairs % block else [])
     for child, size in zip(root.spawn(len(chunks)), chunks):
         rng = np.random.default_rng(child)
-        v = rng.integers(0, 2, size=(size, d), dtype=np.int8) * 2 - 1
-        w = rng.integers(0, 2, size=(size, d), dtype=np.int8) * 2 - 1
-        # numerator d <v, w> = agreements - disagreements = d - 2 disagreements
+        v = rng.integers(0, 2, (size, d), dtype=bool)
+        w = rng.integers(0, 2, (size, d), dtype=bool)
+        # True marks a +1 coordinate; the numerator d <v, w> =
+        # agreements - disagreements = d - 2 disagreements
         nums = np.abs(d - 2 * np.count_nonzero(v != w, axis=1))
         max_num = max(max_num, int(nums.max()))
         violations += int(np.count_nonzero(nums >= threshold))

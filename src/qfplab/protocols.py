@@ -198,7 +198,8 @@ def run_experiment(
     The adversarial-list source cycles deterministically through the
     supplied pairs by trial index; the other sources draw inputs from the
     block generator.  The shared-key key and the referee's coins are drawn
-    fresh per trial and never reported.
+    fresh per trial and never reported.  A code past the certification
+    guard raises ``CapabilityError`` before any trial runs.
     """
     if protocol_id not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol_id!r}; expected {PROTOCOLS}")
@@ -222,6 +223,8 @@ def run_experiment(
             np.stack([_bit_row(_check_bits(p[side], code.n, name)) for p in pairs])
             for side, name in ((0, "x"), (1, "y"))
         )
+    # Certification may hit its capability guard: fail before any trial runs.
+    bound = _theory_bound(protocol_id, code, k, r)
 
     n_equal = wrong_equal = wrong_unequal = 0
     for block, t0 in enumerate(range(0, trials, BLOCK)):
@@ -252,7 +255,7 @@ def run_experiment(
         trials_unequal=n_unequal,
         empirical_error_equal=err_eq,
         empirical_error_unequal=err_ne,
-        theory_error_bound=_theory_bound(protocol_id, code, k, r),
+        theory_error_bound=bound,
         confidence_radius=3.0 * sqrt(err * (1.0 - err) / count),
         message_cost={"alice": cost, "bob": cost},
     )

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +232,15 @@ class TestNearset:
     def test_delta_out_of_domain_exit_2(self):
         assert main(["nearset", "--n", "4", "--delta", "1.5"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("size", ["1", "-1"])
+    def test_gram_size_below_two_exit_2(self, size, tmp_path, capsys):
+        path = tmp_path / "report"
+        code = main(["nearset", "--n", "4", "--delta", "0.3", "--gram-size",
+                     size, "--out", str(path)])
+        assert code == EXIT_USAGE
+        assert "--gram-size" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_gram_report(self, tmp_path):
         report = run_json(tmp_path, [
             "nearset", "--n", "4", "--delta", "0.3", "--gram-size", "3",
@@ -273,6 +286,19 @@ def test_flag_the_mode_ignores_exit_2(argv, flag, tmp_path, capsys):
     assert main(argv + ["--out", str(path)]) == EXIT_USAGE
     assert flag in capsys.readouterr().err
     assert not path.exists()
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(qfplab.cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qfplab.cli", "codes", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_OK
+    report = json.loads(proc.stdout)
+    assert report["results"]["certificate"]["min_distance"] == 4
 
 
 class TestCodesCommand:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfplab import (
     CapabilityError,
@@ -61,6 +63,13 @@ class TestEncode:
     def test_alphabet_rejected(self):
         with pytest.raises(InputShapeError):
             encode(hadamard_code(2), "0x")
+
+    @pytest.mark.parametrize("word", ["0110", "01102", 3],
+                             ids=["short", "alphabet", "not-a-string"])
+    def test_invalid_declared_codeword_rejected(self, word):
+        code = declared_code(2, 5, encoder=lambda x: word)
+        with pytest.raises(InputShapeError, match="declared codeword"):
+            encode(code, "01")
 
 
 # One code per branch of the codeword-bit kernel, all with m = 16; the
@@ -349,6 +358,47 @@ class TestSerialization:
         clone = code_from_json(code.to_json())
         for x in ("00000", "10101", "11111"):
             assert encode(clone, x) == encode(code, x)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 9, 64, 70])
+    def test_rows_are_the_bit_sums(self, n):
+        code = random_linear_code(n, 2, seed=n)
+        width = (n + 3) // 4
+        expected = [format(sum(int(b) << j for j, b in enumerate(row)),
+                           f"0{width}x") for row in code.generator]
+        assert code.to_json()["generator"] == expected
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 70), extra=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_bit_for_bit(self, n, extra, seed):
+        # identity rows keep any generator injective
+        rng = np.random.default_rng(seed)
+        gen = np.vstack([np.eye(n, dtype=np.uint8),
+                         rng.integers(0, 2, (extra, n), dtype=np.uint8)])
+        code = declared_code(n, n + extra, generator=rng.permutation(gen))
+        clone = code_from_json(code.to_json())
+        assert clone.generator.dtype == np.uint8
+        assert np.array_equal(clone.generator, code.generator)
+
+    @pytest.mark.parametrize("rows", [
+        ["1", "2", "4", "5", "6"],
+        ["1", "2", "4", "5", "6", "7", "3"],
+        ["1", "2", "4", "5", "6", "f3"],
+        ["1", "2", "4", "5", "6", "7g"],
+    ], ids=["missing-row", "extra-row", "bit-above-n", "not-hex"])
+    def test_malformed_generator_rejected(self, rows):
+        desc = {"kind": "random-linear", "n": 3, "m": 6, "generator": rows}
+        with pytest.raises(InputShapeError, match="generator"):
+            code_from_json(desc)
+
+    def test_long_declared_generator_constructs_fast(self):
+        n, m = 5, 10**6
+        generator = np.random.default_rng(8).integers(0, 2, (m, n),
+                                                      dtype=np.uint8)
+        generator[:n] = np.eye(n, dtype=np.uint8)
+        start = time.perf_counter()
+        declared_code(n, m, generator=generator)
+        assert time.perf_counter() - start < 1.0
 
     def test_hadamard_description(self):
         assert hadamard_code(3).to_json() == {"kind": "hadamard", "n": 3, "m": 8}

@@ -22,6 +22,7 @@ from qfplab import (
     random_linear_code,
     run_experiment,
 )
+from qfplab import protocols
 from qfplab.protocols import BLOCK, _swap_p_one
 
 
@@ -234,6 +235,21 @@ class TestRunExperiment:
         with pytest.raises(CapabilityError, match="fingerprint guard"):
             make_fingerprint(hadamard_code(21), "0" * 21)
         assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("protocol_id,params", [
+        ("quantum", {"k": 1}), ("shared-key", {"r": 2})])
+    def test_certification_guard_fires_before_any_trial(
+            self, monkeypatch, protocol_id, params):
+        # 2^25 messages of two 64-bit words exceed the certification guard
+        code = random_linear_code(25, 3, seed=0)
+
+        def no_trials(*args):
+            raise AssertionError("a trial block ran before the guard")
+
+        monkeypatch.setattr(protocols, "_block_accepts", no_trials)
+        with pytest.raises(CapabilityError, match="guard"):
+            run_experiment(protocol_id, code, 10**6, "random-pairs", seed=0,
+                           **params)
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigError):
