@@ -18,6 +18,7 @@ in closed form.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,10 @@ _TABLE_WORDS = 2**14
 # Hadamard positions are codeword rows of one 64-bit word each.
 HADAMARD_MAX_N = 63
 _HEX_ROW = re.compile(r"[0-9a-fA-F]+")
+
+
+class _NotInjective(DomainError):
+    """A generator of rank below n: some nonzero message encodes to 0."""
 
 
 def _check_bits(s: str, n: int, name: str) -> str:
@@ -117,7 +122,7 @@ class BinaryCode:
                 )
             object.__setattr__(self, "generator", g)
             if _gf2_rank(g, self.n) != self.n:
-                raise DomainError(
+                raise _NotInjective(
                     "generator is not injective: some nonzero message encodes to 0"
                 )
         if self.declared_delta is not None:
@@ -157,8 +162,12 @@ def code_from_json(desc: dict) -> BinaryCode:
     Declared codes round-trip only when they carry a generator; a bare
     encoder callable cannot be serialized.
     """
-    kind = desc["kind"]
-    n, m = int(desc["n"]), int(desc["m"])
+    try:
+        kind, n, m = desc["kind"], operator.index(desc["n"]), operator.index(desc["m"])
+        delta = Fraction(desc["declared_delta"]) if "declared_delta" in desc else None
+        seed = None if desc.get("seed") is None else operator.index(desc["seed"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputShapeError(f"malformed code description: {exc!r}") from exc
     gen = None
     if "generator" in desc:
         rows, size = desc["generator"], -(-n // 8)
@@ -171,11 +180,10 @@ def code_from_json(desc: dict) -> BinaryCode:
         if bits.size != 8 * size * m or bits.reshape(m, 8 * size)[:, n:].any():
             raise InputShapeError(f"generator must be m={m} hex rows below 2^{n}")
         gen = bits.reshape(m, 8 * size)[:, :n]
-    delta = Fraction(desc["declared_delta"]) if "declared_delta" in desc else None
     if kind == DECLARED and gen is None:
         raise DomainError("cannot rebuild a declared code without a generator")
     return BinaryCode(kind=kind, n=n, m=m, generator=gen,
-                      declared_delta=delta, seed=desc.get("seed"))
+                      declared_delta=delta, seed=seed)
 
 
 def hadamard_code(n: int) -> BinaryCode:
@@ -187,16 +195,19 @@ def random_linear_code(n: int, c: int, seed: int) -> BinaryCode:
     """Uniformly random injective (c*n, n) generator over GF(2).
 
     The generator is resampled from the seeded stream until it has full
-    column rank, so encoding is injective by construction.
+    column rank, so encoding is injective by construction; ``BinaryCode``
+    checks the rank.
     """
     if c < 2:
         raise DomainError(f"rate multiple c must be >= 2, got c={c}")
     rng = np.random.default_rng(seed)
     while True:
         g = rng.integers(0, 2, size=(c * n, n), dtype=np.uint8)
-        if _gf2_rank(g, n) == n:
+        try:
             return BinaryCode(kind=RANDOM_LINEAR, n=n, m=c * n,
                               generator=g, seed=seed)
+        except _NotInjective:
+            continue
 
 
 def linear_code(generator: np.ndarray) -> BinaryCode:

@@ -6,6 +6,14 @@ of agreeing coordinates.  Audits compare measured overlaps against a
 threshold delta and report the per-pair concentration bound 2 e^{-delta^2 d/2}
 alongside.  A Gram-matrix check demonstrates that sets with small pairwise
 overlap are linearly independent via strict diagonal dominance.
+
+Sign bits are raw ``PCG64`` output words read as little-endian bytes, so
+both streams depend only on ``SeedSequence`` and ``PCG64`` (stable under
+NEP 19), not on ``Generator.integers``.  Set mode: one ``PCG64`` per vector,
+ceil(d/8) words, coordinate j is +1 when the top bit of byte j is set.  Pair
+mode: one per block of up to 4096 pairs, ceil(size*d/32) words; bit i (LSB
+first) of the first half of their bytes is v's row-major coordinate i, and
+of the second half w's.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ class VectorSet:
 
     def __post_init__(self) -> None:
         s = np.asarray(self.signs, dtype=np.int8)
-        if s.ndim != 2 or s.shape[1] != self.d or not np.isin(s, (-1, 1)).all():
+        if s.ndim != 2 or s.shape[1] != self.d or not (np.abs(s) == 1).all():
             raise InputShapeError(
                 f"signs must be a (count, {self.d}) matrix of +/-1 entries"
             )
@@ -87,10 +95,10 @@ def sample_vector_set(
         raise DomainError(f"dimension must be >= 1, got {d}")
     root = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
-    rows = np.empty((count, d), dtype=np.int8)
-    for i, child in enumerate(root.spawn(count)):
-        rng = np.random.default_rng(child)
-        rows[i] = rng.integers(0, 2, size=d, dtype=np.int8) * 2 - 1
+    words = -(-d // 8)
+    raw = np.stack([np.random.PCG64(c).random_raw(words) for c in root.spawn(count)])
+    top = raw.astype("<u8", copy=False).view(np.uint8)[:, :d] >> 7
+    rows = top.astype(np.int8) * 2 - 1
     plain_seed = seed if isinstance(seed, int) else None
     return VectorSet(signs=rows, d=d, seed=plain_seed, delta_target=delta_target)
 
@@ -112,32 +120,32 @@ class OverlapAudit:
 
 def _violation_threshold(d: int, delta: float) -> int:
     # smallest integer numerator T with T/d > delta, compared exactly
+    if not 0.0 < float(delta) < 1.0:
+        raise DomainError(f"delta must lie in (0,1), got {delta}")
     return floor(Fraction(delta) * d) + 1
 
 
 def audit_overlaps(vset: VectorSet, delta: float) -> OverlapAudit:
     """Exact pairwise overlap audit of a whole vector set.
 
-    The Gram numerators come from float64 matrix products (BLAS): each is a
-    sum of d products of +/-1, an integer that float64 holds exactly for
-    d < 2^53.  Each block of rows is multiplied only by the rows from its
-    own start onwards, and the block's diagonal square is zeroed below and
-    on the diagonal, so every pair i < j is counted once; a zero never
-    reaches the violation threshold, which is at least 1.
+    The Gram numerators come from float32 matrix products (BLAS).  Every
+    partial sum of d products of +/-1 is an integer of size at most d, which
+    float32 holds exactly while d <= 2^24; above that float64 is used.  Each
+    block of rows is multiplied only by the rows from its own start onwards,
+    and the block's diagonal square is zeroed below and on the diagonal, so
+    every pair i < j is counted once; a zero never reaches the violation
+    threshold, which is at least 1.
     """
     if vset.count > AUDIT_MAX_COUNT:
         raise CapabilityError(
             f"pairwise audit of {vset.count} vectors exceeds the guard "
             f"{AUDIT_MAX_COUNT}"
         )
-    if not 0.0 < float(delta) < 1.0:
-        raise DomainError(f"delta must lie in (0,1), got {delta}")
-    signs = vset.signs.astype(np.float64)
+    signs = vset.signs.astype(np.float32 if vset.d <= 1 << 24 else np.float64)
     threshold = _violation_threshold(vset.d, delta)
-    max_num = 0
-    violations = 0
+    max_num = violations = 0
     block = 1024
-    lower = np.tril(np.ones((block, block), dtype=bool))
+    lower = np.tri(min(block, vset.count), dtype=bool)
     for start in range(0, vset.count, block):
         rows = signs[start:start + block]
         grams = rows @ signs[start:].T
@@ -147,15 +155,21 @@ def audit_overlaps(vset: VectorSet, delta: float) -> OverlapAudit:
         max_num = max(max_num, int(grams.max()))
         violations += int(np.count_nonzero(grams >= threshold))
     return OverlapAudit(
-        d=vset.d,
-        count=vset.count,
-        delta=float(delta),
-        max_abs_overlap=max_num / vset.d,
-        violating_pairs=violations,
+        d=vset.d, count=vset.count, delta=float(delta),
+        max_abs_overlap=max_num / vset.d, violating_pairs=violations,
         total_pairs=comb(vset.count, 2),
-        chernoff_bound=chernoff_pair_bound(vset.d, delta),
-        seed=vset.seed,
+        chernoff_bound=chernoff_pair_bound(vset.d, delta), seed=vset.seed,
     )
+
+
+def _pair_numerators(seed, size: int, d: int) -> np.ndarray:
+    """|d <v, w>| for each of ``size`` pairs (v, w) drawn from one PCG64."""
+    raw = np.random.PCG64(seed).random_raw(-(-size * d // 32))
+    v_w = raw.astype("<u8", copy=False).view(np.uint8).reshape(2, -1)
+    # set bits of v ^ w mark disagreements; the numerator d <v, w> =
+    # agreements - disagreements = d - 2 disagreements
+    diff = np.unpackbits(v_w[0] ^ v_w[1], count=size * d, bitorder="little")
+    return np.abs(d - 2 * diff.reshape(size, d).sum(axis=1, dtype=np.int64))
 
 
 def sample_pair_audit(pairs: int, d: int, delta: float, seed) -> OverlapAudit:
@@ -169,30 +183,17 @@ def sample_pair_audit(pairs: int, d: int, delta: float, seed) -> OverlapAudit:
         raise DomainError(f"pairs must be >= 1, got {pairs}")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    if not 0.0 < float(delta) < 1.0:
-        raise DomainError(f"delta must lie in (0,1), got {delta}")
     threshold = _violation_threshold(d, delta)
     root = np.random.SeedSequence(seed)
-    max_num = 0
-    violations = 0
-    block = 4096
-    chunks = [block] * (pairs // block) + ([pairs % block] if pairs % block else [])
+    max_num = violations = 0
+    chunks = [4096] * (pairs // 4096) + ([pairs % 4096] if pairs % 4096 else [])
     for child, size in zip(root.spawn(len(chunks)), chunks):
-        rng = np.random.default_rng(child)
-        v = rng.integers(0, 2, (size, d), dtype=bool)
-        w = rng.integers(0, 2, (size, d), dtype=bool)
-        # True marks a +1 coordinate; the numerator d <v, w> =
-        # agreements - disagreements = d - 2 disagreements
-        nums = np.abs(d - 2 * np.count_nonzero(v != w, axis=1))
+        nums = _pair_numerators(child, size, d)
         max_num = max(max_num, int(nums.max()))
         violations += int(np.count_nonzero(nums >= threshold))
     return OverlapAudit(
-        d=d,
-        count=2 * pairs,
-        delta=float(delta),
-        max_abs_overlap=max_num / d,
-        violating_pairs=violations,
-        total_pairs=pairs,
+        d=d, count=2 * pairs, delta=float(delta), max_abs_overlap=max_num / d,
+        violating_pairs=violations, total_pairs=pairs,
         chernoff_bound=chernoff_pair_bound(d, delta),
         seed=seed if isinstance(seed, int) else None,
     )

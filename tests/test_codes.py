@@ -336,6 +336,18 @@ class TestConstruction:
         b = random_linear_code(6, 3, seed=12)
         assert np.array_equal(a.generator, b.generator)
 
+    def test_random_linear_resamples_rank_deficient_draws(self):
+        # n = 1, c = 2: seed 4 first draws the all-zero (rank 0) generator
+        rng = np.random.default_rng(4)
+        assert not rng.integers(0, 2, (2, 1), dtype=np.uint8).any()
+        second = rng.integers(0, 2, (2, 1), dtype=np.uint8)
+        assert second.any()
+        assert np.array_equal(random_linear_code(1, 2, seed=4).generator, second)
+
+    def test_random_linear_rejects_empty_message(self):
+        with pytest.raises(DomainError, match="message length"):
+            random_linear_code(0, 2, seed=0)
+
     def test_encode_injective_exhaustively(self):
         code = random_linear_code(6, 2, seed=8)
         words = {encode(code, x) for x in all_messages(6)}
@@ -389,6 +401,20 @@ class TestSerialization:
     def test_malformed_generator_rejected(self, rows):
         desc = {"kind": "random-linear", "n": 3, "m": 6, "generator": rows}
         with pytest.raises(InputShapeError, match="generator"):
+            code_from_json(desc)
+
+    GOOD = {"kind": "declared", "n": 3, "m": 6,
+            "generator": ["1", "2", "4", "5", "6", "7"]}
+
+    @pytest.mark.parametrize("desc", [
+        {**GOOD, "n": "3"}, {**GOOD, "n": 3.0}, {**GOOD, "m": None},
+        {k: v for k, v in GOOD.items() if k != "kind"},
+        {**GOOD, "declared_delta": "half"}, {**GOOD, "declared_delta": "1/0"},
+        {**GOOD, "declared_delta": None}, {**GOOD, "seed": "x"},
+    ], ids=["n-string", "n-float", "m-null", "missing-kind", "delta-word",
+            "delta-zero-denominator", "delta-null", "seed-string"])
+    def test_malformed_description_rejected(self, desc):
+        with pytest.raises(InputShapeError, match="malformed code description"):
             code_from_json(desc)
 
     def test_long_declared_generator_constructs_fast(self):

@@ -32,6 +32,11 @@ CASES = {
         "nearset", "--n", "5", "--delta", "0.3", "--seeds", "2",
         "--gram-size", "3", "--seed", "3",
     ],
+    # d = 37 is not a multiple of 32 and 5000 pairs leave a short last block
+    "nearset-pairs": [
+        "nearset", "--pair-mode", "--d", "37", "--delta", "0.3",
+        "--pairs", "5000", "--seed", "4",
+    ],
     "codes": ["codes", "--n", "6"],
     "smp-run-quantum": [
         "smp-run", "--protocol", "quantum", "--n", "6", "--k", "3",

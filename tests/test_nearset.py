@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfplab import (
     CapabilityError,
@@ -18,7 +20,7 @@ from qfplab import (
     sample_vector_set,
     swap_test_analytic,
 )
-from qfplab.nearset import VectorSet
+from qfplab.nearset import VectorSet, _pair_numerators
 
 
 class TestRequiredDimension:
@@ -187,6 +189,59 @@ class TestPairAudit:
         b = sample_pair_audit(5000, 100, 0.2, seed=8)
         assert a.violating_pairs == b.violating_pairs
         assert a.max_abs_overlap == b.max_abs_overlap
+
+
+def generator_pair_numerators(rng, size, d):
+    """|d <v, w>| per pair from the Generator.integers draws of the bits."""
+    v = rng.integers(0, 2, (size, d), dtype=bool)
+    w = rng.integers(0, 2, (size, d), dtype=bool)
+    return np.abs(d - 2 * np.count_nonzero(v != w, axis=1))
+
+
+class TestRawDrawLayout:
+    """The raw-word draws reproduce the Generator.integers formulation."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(count=st.integers(2, 5), d=st.integers(1, 200),
+           seed=st.integers(0, 2**32 - 1))
+    @example(count=2, d=1, seed=0)
+    @example(count=3, d=17, seed=5)  # three words per vector
+    @example(count=2, d=64, seed=6)
+    def test_set_rows(self, count, d, seed):
+        vset = sample_vector_set(count, d, seed)
+        for row, child in zip(vset.signs, np.random.SeedSequence(seed).spawn(count)):
+            expected = np.random.default_rng(child).integers(
+                0, 2, d, dtype=np.int8) * 2 - 1
+            assert np.array_equal(row, expected)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(size=st.integers(1, 300), d=st.integers(1, 100),
+           seed=st.integers(0, 2**32 - 1))
+    @example(size=1, d=1, seed=0)
+    @example(size=3, d=11, seed=1)  # 33 bits: v fills word 0 and w word 1
+    @example(size=1, d=96, seed=2)  # three words, v ends mid-word
+    def test_pair_numerators(self, size, d, seed):
+        child = np.random.SeedSequence(seed)
+        expected = generator_pair_numerators(np.random.default_rng(child), size, d)
+        assert np.array_equal(_pair_numerators(child, size, d), expected)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(pairs=st.integers(1, 9000), d=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(pairs=4097, d=37, seed=4)
+    def test_pair_audit_blocks(self, pairs, d, seed):
+        # blocks of 4096 pairs, one spawned child each, the last one short
+        sizes = [4096] * (pairs // 4096) + ([pairs % 4096] if pairs % 4096 else [])
+        children = np.random.SeedSequence(seed).spawn(len(sizes))
+        nums = np.concatenate([
+            generator_pair_numerators(np.random.default_rng(c), size, d)
+            for c, size in zip(children, sizes)])
+        for delta in (0.2, 0.5):
+            audit = sample_pair_audit(pairs, d, delta, seed)
+            assert audit.max_abs_overlap == int(nums.max()) / d
+            assert audit.violating_pairs == sum(
+                int(n) for v, n in zip(*np.unique(nums, return_counts=True))
+                if Fraction(int(v), d) > Fraction(delta))
 
 
 class TestGramDominance:
