@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,7 +50,8 @@ EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
 # Defaults of flags that some modes do not read; another value there exits 2.
-_DEFAULT_C, _DEFAULT_CODE_SEED, _DEFAULT_PAIRS = 3, 0, 100000
+# --seed and --code-seed share theirs.
+_DEFAULT_C, _DEFAULT_SEED, _DEFAULT_PAIRS = 3, 0, 100000
 
 
 def _canonical_json(obj) -> str:
@@ -100,11 +100,22 @@ def _wrap(command: str, args: argparse.Namespace, results: dict) -> dict:
 
 def _build_code(args: argparse.Namespace) -> BinaryCode:
     if args.code == "hadamard":
-        if (args.c, args.code_seed) != (_DEFAULT_C, _DEFAULT_CODE_SEED):
+        if (args.c, args.code_seed) != (_DEFAULT_C, _DEFAULT_SEED):
             raise QfpError("--c and --code-seed are only read with "
                            "--code random-linear")
         return hadamard_code(args.n)
     return random_linear_code(args.n, args.c, args.code_seed)
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed and --code-seed; NumPy seeds are never negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_code_flags(parser: argparse.ArgumentParser) -> None:
@@ -114,13 +125,14 @@ def _add_code_flags(parser: argparse.ArgumentParser) -> None:
                         help="message length in bits")
     parser.add_argument("--c", type=int, default=_DEFAULT_C,
                         help="codeword length multiple for random-linear")
-    parser.add_argument("--code-seed", type=int, default=_DEFAULT_CODE_SEED,
+    parser.add_argument("--code-seed", type=_seed, default=_DEFAULT_SEED,
                         help="generator sampling seed for random-linear")
 
 
 def _add_io_flags(parser: argparse.ArgumentParser,
                   formats: tuple[str, ...] = ("json", "table")) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--seed", type=_seed, default=_DEFAULT_SEED,
+                        help="master seed")
     parser.add_argument("--format", choices=formats, default="json")
     parser.add_argument("--out", help="write the report to this path")
 
@@ -128,6 +140,8 @@ def _add_io_flags(parser: argparse.ArgumentParser,
 def cmd_swap_test(args: argparse.Namespace) -> int:
     if args.x_equals_y and args.y is not None:
         raise QfpError("--y is not read with --x-equals-y")
+    if args.seed != _DEFAULT_SEED and not args.trials:
+        raise QfpError("--seed is only read with --trials")
     code = _build_code(args)
     x = _check_bits(args.x, code.n, "--x")
     y = x if args.x_equals_y else _check_bits(args.y, code.n, "--y")
@@ -151,6 +165,8 @@ def cmd_swap_test(args: argparse.Namespace) -> int:
 
 def cmd_perm_test(args: argparse.Namespace) -> int:
     gamma = args.gamma
+    if args.seed != _DEFAULT_SEED and not args.trials:
+        raise QfpError("--seed is only read with --trials")
     if not 0.0 <= gamma <= 1.0:
         raise QfpError(f"--gamma must lie in [0,1], got {gamma}")
     results: dict = {
@@ -252,13 +268,16 @@ def cmd_nearset(args: argparse.Namespace) -> int:
 
 
 def cmd_codes(args: argparse.Namespace) -> int:
+    if args.seed != _DEFAULT_SEED:
+        raise QfpError("--seed is not read by codes; a random-linear code "
+                       "reads --code-seed")
     code = _build_code(args)
     cert = certify_distance(code)
     results = {
         "code": code.to_json(),
         "certificate": cert.to_json(),
         "qubits_required": qubits_required(code),
-        "max_agreement_float": float(Fraction(cert.max_agreement)),
+        "max_agreement_float": float(cert.max_agreement),
     }
     _emit(_wrap("codes", args, results), args)
     return EXIT_OK

@@ -115,11 +115,12 @@ class BinaryCode:
         else:
             raise DomainError(f"unknown code kind {self.kind!r}")
         if self.generator is not None:
-            g = np.asarray(self.generator, dtype=np.uint8)
-            if g.shape != (self.m, self.n) or not np.isin(g, (0, 1)).all():
+            raw = np.asarray(self.generator)
+            if raw.shape != (self.m, self.n) or not np.isin(raw, (0, 1)).all():
                 raise InputShapeError(
                     f"generator must be an (m, n)={self.m, self.n} 0/1 matrix"
                 )
+            g = raw.astype(np.uint8, copy=False)
             object.__setattr__(self, "generator", g)
             if _gf2_rank(g, self.n) != self.n:
                 raise _NotInjective(
@@ -212,7 +213,7 @@ def random_linear_code(n: int, c: int, seed: int) -> BinaryCode:
 
 def linear_code(generator: np.ndarray) -> BinaryCode:
     """A random-linear-kind code with an explicitly supplied generator."""
-    g = np.asarray(generator, dtype=np.uint8)
+    g = np.asarray(generator)
     return BinaryCode(kind=RANDOM_LINEAR, n=g.shape[1], m=g.shape[0], generator=g)
 
 
@@ -340,12 +341,12 @@ class DistanceCertificate:
     """Exact or declared minimum distance, with the agreement bound it implies."""
 
     min_distance: int
-    max_agreement: Fraction
     method: str
     m: int
 
-    def __post_init__(self) -> None:
-        assert self.max_agreement == 1 - Fraction(self.min_distance, self.m)
+    @property
+    def max_agreement(self) -> Fraction:
+        return 1 - Fraction(self.min_distance, self.m)
 
     def to_json(self) -> dict:
         return {
@@ -425,5 +426,4 @@ def certify_distance(code: BinaryCode) -> DistanceCertificate:
             dist, method = _min_pairwise_distance(code), "exhaustive"
             if dist == 0:
                 raise DomainError("declared encoder is not injective")
-    return DistanceCertificate(min_distance=dist, method=method, m=code.m,
-                               max_agreement=Fraction(code.m - dist, code.m))
+    return DistanceCertificate(min_distance=dist, method=method, m=code.m)

@@ -61,12 +61,12 @@ class VectorSet:
     delta_target: float | None = None
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.signs, dtype=np.int8)
-        if s.ndim != 2 or s.shape[1] != self.d or not (np.abs(s) == 1).all():
+        raw = np.asarray(self.signs)
+        if raw.ndim != 2 or raw.shape[1] != self.d or not (np.abs(raw) == 1).all():
             raise InputShapeError(
                 f"signs must be a (count, {self.d}) matrix of +/-1 entries"
             )
-        object.__setattr__(self, "signs", s)
+        object.__setattr__(self, "signs", raw.astype(np.int8, copy=False))
 
     @property
     def count(self) -> int:

@@ -4,7 +4,8 @@
   product, the k = 1 case of the permutation test's closed form.
 * circuit: state-vector evolution of H on the control, a controlled
   register exchange and H again, one row block of the (2, D, D) state at
-  a time, then the Born probability of control = 1.  The state is never
+  a time from a reused (2, rows, D) stack of the rows of phi x psi and
+  psi x phi, then the Born probability of control = 1.  The state is never
   held whole, so its guard 2 D^2 <= MAX_STATE_DIM bounds work, not memory.
 
 Seeded sampling at the analytic rate is ``permtest.sample_rate``.
@@ -72,9 +73,10 @@ def swap_test_analytic(phi: PureState, psi: PureState) -> SwapTestResult:
 def _evolved_blocks(phi: PureState, psi: PureState):
     """Yield ``(rows, evolved, half_fwd, half_rev)``: rows ``rows`` of the
     circuit's (2, D, D) final state and of (phi x psi)/2 and (psi x phi)/2,
-    as views of buffers that the next block overwrites.  Every amplitude is
-    rounded exactly as in a dense evaluation of the same gates.  The inputs
-    are checked before the first block.
+    as views of buffers that the next block overwrites; both products share
+    one (2, rows, D) buffer.  Every amplitude is rounded exactly as in a
+    dense evaluation of the same gates.  The inputs are checked before the
+    first block.
     """
     if phi.shape != psi.shape:
         raise InputShapeError(f"shape mismatch: {phi.shape} vs {psi.shape}")
@@ -86,27 +88,24 @@ def _evolved_blocks(phi: PureState, psi: PureState):
     s = 1.0 / math.sqrt(2.0)
     a, b = phi.amplitudes, psi.amplitudes
     height = max(1, _BLOCK // d)
-    fwd_rows = np.empty((height, d), dtype=np.complex128)
-    # rows of psi x phi are columns of phi x psi
-    fwd_cols = np.empty((d, height), dtype=np.complex128)
-    evolved_rows = np.empty((2, height, d), dtype=np.complex128)
+    # products, then evolved rows: one allocation, which malloc reuses on
+    # the next call instead of returning it to the OS and faulting it in
+    buffers = np.empty((2, 2, height, d), dtype=np.complex128)
     for start in range(0, d, height):
         rows = slice(start, min(start + height, d))
-        n = rows.stop - start
-        fwd, rev, evolved = fwd_rows[:n], fwd_cols[:, :n].T, evolved_rows[:, :n]
-        zero, one = evolved
-        np.multiply(a[rows, None], b, out=fwd)
-        np.multiply(a[:, None], b[None, rows], out=rev.T)
+        products, evolved = buffers[:, :, : rows.stop - start]
+        (fwd, rev), (zero, one) = products, evolved
+        # 2-D operands as in np.outer, so a 1 x 1 block rounds as it does
+        np.multiply(a[rows, None], b[None], out=fwd)
+        np.multiply(a[None], b[rows, None], out=rev)
         # H on the control of |0>|phi>|psi>, exchange where control = 1
-        np.multiply(fwd, s, out=zero)
-        np.multiply(rev, s, out=one)
+        np.multiply(products, s, out=evolved)
         # H on the control
         diff = zero - one
         zero += one
         zero *= s
         np.multiply(diff, s, out=one)
-        fwd *= 0.5
-        rev *= 0.5
+        products *= 0.5
         yield rows, evolved, fwd, rev
 
 

@@ -278,13 +278,36 @@ def test_csv_only_on_smp_run_exit_2(argv, tmp_path, capsys):
     (["nearset", "--pair-mode", "--d", "50", "--delta", "0.3", "--seeds", "2"],
      "--seeds"),
     (["nearset", "--n", "4", "--delta", "0.3", "--pairs", "500"], "--pairs"),
+    (["codes", "--n", "3", "--seed", "99"], "--seed"),
+    (["swap-test", "--n", "3", "--x", "010", "--y", "011", "--seed", "5"],
+     "--seed"),
+    (["perm-test", "--k", "2", "--gamma", "0.3", "--seed", "5"], "--seed"),
 ], ids=["swap-y-with-x-equals-y", "swap-c-hadamard", "smp-code-seed-hadamard",
         "codes-c-hadamard", "pair-mode-n", "pair-mode-count",
-        "pair-mode-gram-size", "pair-mode-seeds", "set-mode-pairs"])
+        "pair-mode-gram-size", "pair-mode-seeds", "set-mode-pairs",
+        "codes-seed", "swap-seed-without-trials", "perm-seed-without-trials"])
 def test_flag_the_mode_ignores_exit_2(argv, flag, tmp_path, capsys):
     path = tmp_path / "report"
     assert main(argv + ["--out", str(path)]) == EXIT_USAGE
     assert flag in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["smp-run", "--protocol", "quantum", "--n", "3", "--k", "1",
+      "--trials", "10", "--seed", "-1"], "--seed"),
+    (["nearset", "--n", "3", "--delta", "0.3", "--seed", "-1"], "--seed"),
+    (["swap-test", "--n", "3", "--x", "010", "--y", "011", "--trials", "10",
+      "--seed", "-1"], "--seed"),
+    (["perm-test", "--k", "2", "--gamma", "0.3", "--trials", "10",
+      "--seed", "-1"], "--seed"),
+    (["codes", "--code", "random-linear", "--n", "3", "--code-seed", "-1"],
+     "--code-seed"),
+], ids=["smp-run", "nearset", "swap-test", "perm-test", "codes"])
+def test_negative_seed_exit_2(argv, flag, tmp_path, capsys):
+    path = tmp_path / "report"
+    assert main(argv + ["--out", str(path)]) == EXIT_USAGE
+    assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
     assert not path.exists()
 
 

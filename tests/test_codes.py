@@ -56,6 +56,15 @@ class TestEncode:
                          np.zeros((3, 3), dtype=np.uint8)])
         assert encode(linear_code(gen), "101") == "101000"
 
+    # entries are checked before the cast to uint8, which would wrap 256 to
+    # 0 and truncate 1.5 to 1
+    @pytest.mark.parametrize("entry", [256, 1.5])
+    def test_generator_entry_not_0_or_1_rejected(self, entry):
+        gen = np.vstack([np.eye(2), np.eye(2)]).astype(type(entry))
+        gen[3, 1] = entry
+        with pytest.raises(InputShapeError, match="0/1 matrix"):
+            linear_code(gen)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputShapeError):
             encode(hadamard_code(2), "010")

@@ -90,6 +90,18 @@ class TestSampleVectorSet:
         with pytest.raises(InputShapeError):
             VectorSet(signs=np.zeros((3, 4), dtype=np.int8), d=4)
 
+    # entries are checked before the cast to int8, which would wrap 257 to 1
+    # and truncate -1.5 to -1
+    @pytest.mark.parametrize("entry", [257, -1.5, 255])
+    def test_sign_not_plus_or_minus_one_rejected(self, entry):
+        with pytest.raises(InputShapeError):
+            VectorSet(signs=np.array([[entry, -1]]), d=2)
+
+    def test_signs_kept_as_int8(self):
+        vset = VectorSet(signs=np.array([[1.0, -1.0]]), d=2)
+        assert vset.signs.dtype == np.int8
+        assert vset.signs.tolist() == [[1, -1]]
+
 
 def all_pairs_reference(vset, delta):
     """(max |numerator|, pairs with |overlap| > delta) from int64 products."""

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qfplab.swaptest
 from qfplab import (
@@ -77,6 +79,14 @@ def perturb_amplitude(monkeypatch, index, change):
     monkeypatch.setattr(qfplab.swaptest, "_evolved_blocks", perturbed)
 
 
+def dense_gates(phi, psi):
+    """(2, D, D) state of the swap-test gates applied to the whole state."""
+    s = 1.0 / math.sqrt(2.0)
+    branch = np.outer(phi.amplitudes, psi.amplitudes) * s
+    exchanged = branch.T.copy()
+    return np.stack([(branch + exchanged) * s, (branch - exchanged) * s])
+
+
 def traced_peak(call):
     """Peak bytes allocated through Python's allocators during ``call()``."""
     tracemalloc.start()
@@ -114,15 +124,26 @@ class TestCircuit:
         assert_closed_form_state(random_state(300, seed=25),
                                  random_state(300, seed=26))
 
-    @pytest.mark.parametrize("dim", [3, 300, 1024])
+    # at dim 129 the row blocks hold 127 rows, then 2
+    @pytest.mark.parametrize("dim", [3, 129, 300, 1024])
     def test_blocked_state_equals_dense_gates_bit_for_bit(self, dim):
         phi = random_state(dim, seed=(dim, 27))
         psi = random_state(dim, seed=(dim, 28))
-        s = 1.0 / math.sqrt(2.0)
-        branch = np.outer(phi.amplitudes, psi.amplitudes) * s
-        exchanged = branch.T.copy()
-        dense = np.stack([(branch + exchanged) * s, (branch - exchanged) * s])
-        assert np.array_equal(swap_test_circuit_state(phi, psi), dense)
+        assert np.array_equal(swap_test_circuit_state(phi, psi),
+                              dense_gates(phi, psi))
+
+    # dims above 128 span several row blocks and most end in a short one
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(dim=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @example(dim=1, seed=2)  # one 1 x 1 block
+    @example(dim=129, seed=1)
+    def test_any_dim_matches_analytic_and_dense_gates(self, dim, seed):
+        phi = random_state(dim, seed=(seed, 0))
+        psi = random_state(dim, seed=(seed, 1))
+        assert abs(swap_test_circuit(phi, psi).p_one
+                   - swap_test_analytic(phi, psi).p_one) <= 1e-10
+        assert np.array_equal(swap_test_circuit_state(phi, psi),
+                              dense_gates(phi, psi))
 
     def test_perturbed_state_fails_the_closed_form_check(self, monkeypatch):
         perturb_amplitude(monkeypatch, (1, 0, 1), lambda z: z + 1e-9)
