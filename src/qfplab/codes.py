@@ -22,6 +22,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor
 from typing import Callable
 
@@ -132,6 +133,11 @@ class BinaryCode:
                 raise DomainError(f"declared delta must lie in [0,1], got {d}")
             object.__setattr__(self, "declared_delta", d)
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """Generator rows as (m, ceil(n/64)) uint64 words, packed once."""
+        return _packed_words(self.generator)
+
     @property
     def is_linear(self) -> bool:
         return self.kind == HADAMARD or self.generator is not None
@@ -214,6 +220,8 @@ def random_linear_code(n: int, c: int, seed: int) -> BinaryCode:
 def linear_code(generator: np.ndarray) -> BinaryCode:
     """A random-linear-kind code with an explicitly supplied generator."""
     g = np.asarray(generator)
+    if g.ndim != 2:
+        raise InputShapeError(f"generator must be a 2-D (m, n) matrix, got {g.shape}")
     return BinaryCode(kind=RANDOM_LINEAR, n=g.shape[1], m=g.shape[0], generator=g)
 
 
@@ -255,8 +263,14 @@ def _row_ints(bits: np.ndarray):
             for words in _packed_words(bits[:, ::-1]).astype("<u8", copy=False))
 
 
-def _declared_word(code: BinaryCode, row: np.ndarray) -> np.ndarray:
-    x = _bit_str(row)
+def _words(x: str) -> np.ndarray:
+    """A bit-string as ``_packed_words`` lays it out: the words of int(x, 2)."""
+    size = 8 * -(-len(x) // 64)
+    return np.frombuffer(int(x, 2).to_bytes(size, "little"), "<u8").astype(np.uint64)
+
+
+def _declared_word(code: BinaryCode, words: np.ndarray) -> np.ndarray:
+    x = format(int.from_bytes(words.astype("<u8").tobytes(), "little"), f"0{code.n}b")
     word = code.encoder(x)  # type: ignore[misc]
     return _bit_row(_check_bits(word, code.m, f"declared codeword of x={x!r}"))
 
@@ -264,26 +278,35 @@ def _declared_word(code: BinaryCode, row: np.ndarray) -> np.ndarray:
 def _codeword_bits(code: BinaryCode, x, idx=None) -> np.ndarray:
     """Codeword bits at 0-based positions ``idx`` (all m when None), uint8.
 
-    ``x`` is one bit-string, with ``idx`` of shape (r,), or a (B, n) uint8
-    batch of messages, with ``idx`` of shape (B, r).  The only place a
-    codeword bit is computed.  For linear codes bit i is the parity of
-    popcount(row_i & x), where row_i is generator row i packed MSB-first
-    (for hadamard, row_i is i itself), so no full codeword is built when
-    only some positions are asked for.  Declared encoders run per message.
+    ``x`` is one bit-string, with ``idx`` of shape (r,), or a (B, ceil(n/64))
+    uint64 batch of message words laid out as ``_words`` lays out one
+    message, with ``idx`` of shape (B, r).  The only place a codeword bit is
+    computed.  For linear codes bit i is the parity of popcount(row_i & x),
+    where row_i is generator row i, packed once per code (for hadamard,
+    row_i is i itself), so no full codeword is built when only some
+    positions are asked for; messages go through ⌊2^14/(r·words)⌋ at a
+    time, so that the (B, r, words) intermediates stay within 2^14 words.
+    Declared encoders run per message, on its bit-string.
     """
     if isinstance(x, str):
         batch_idx = None if idx is None else np.asarray(idx)[None]
-        return _codeword_bits(code, _bit_row(x)[None], batch_idx)[0]
+        return _codeword_bits(code, _words(x)[None], batch_idx)[0]
     if not code.is_linear:
         words = np.stack([_declared_word(code, row) for row in x])
         return words if idx is None else np.take_along_axis(words, idx, axis=1)
+    width = code.m if idx is None else idx.shape[1]
+    step = max(1, (1 << 14) // (width * x.shape[1]))
+    if len(x) > step:
+        return np.concatenate([
+            _codeword_bits(code, x[t:t + step],
+                           idx if idx is None else idx[t:t + step])
+            for t in range(0, len(x), step)])
     if code.kind == HADAMARD:
         pos = np.arange(code.m) if idx is None else idx
         rows = np.asarray(pos, dtype=np.uint64)[..., None]
     else:
-        rows = _packed_words(code.generator)
-        rows = rows if idx is None else rows[idx]
-    counts = np.bitwise_count(rows & _packed_words(x)[:, None, :])
+        rows = code._rows if idx is None else code._rows[idx]
+    counts = np.bitwise_count(rows & x[:, None, :])
     return np.bitwise_xor.reduce(counts, axis=-1) & 1
 
 
@@ -306,7 +329,7 @@ def bit_at(code: BinaryCode, x: str, i: int) -> int:
 
 
 def _agreements(code: BinaryCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Agreeing-position count of each row pair of two (B, n) batches.
+    """Agreeing-position count of each row pair of two message-word batches.
 
     Hadamard codewords of distinct messages agree on exactly m/2 positions,
     so no codeword is built (uint64, since m = 2^63 at n = 63).  Other codes
@@ -316,23 +339,28 @@ def _agreements(code: BinaryCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.where((x == y).all(axis=1), np.uint64(code.m),
                         np.uint64(code.m // 2))
     step = max(1, (1 << 14) // code.m)
-    return np.concatenate([_agreement_block(code, x[t:t + step], y[t:t + step])
-                           for t in range(0, len(x), step)])
+    return np.concatenate([
+        _same_bits(code, x[t:t + step], y[t:t + step]).sum(axis=1, dtype=np.int64)
+        for t in range(0, len(x), step)])
 
 
-def _agreement_block(code: BinaryCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _same_bits(code: BinaryCode, x: np.ndarray, y: np.ndarray,
+               idx=None) -> np.ndarray:
+    """Where the codewords of two message-word batches agree, at ``idx``.
+
+    Positions are as in ``_codeword_bits``.  By linearity E(x) and E(y)
+    agree where E(x XOR y) is 0, so a linear code computes one codeword.
+    """
     if code.is_linear:
-        # linearity: positions of agreement = m - weight(E(x XOR y))
-        return code.m - _codeword_bits(code, x ^ y).sum(axis=1, dtype=np.int64)
-    return (_codeword_bits(code, x) == _codeword_bits(code, y)).sum(
-        axis=1, dtype=np.int64)
+        return _codeword_bits(code, x ^ y, idx) == 0
+    return _codeword_bits(code, x, idx) == _codeword_bits(code, y, idx)
 
 
 def agreement_fraction(code: BinaryCode, x: str, y: str) -> Fraction:
     """Exact fraction of positions where the codewords of x and y agree."""
     _check_bits(x, code.n, "x")
     _check_bits(y, code.n, "y")
-    agree = _agreements(code, _bit_row(x)[None], _bit_row(y)[None])[0]
+    agree = _agreements(code, _words(x)[None], _words(y)[None])[0]
     return Fraction(int(agree), code.m)
 
 
@@ -384,9 +412,8 @@ def _weight_distribution(code: BinaryCode) -> np.ndarray:
 
 def _min_pairwise_distance(code: BinaryCode) -> int:
     """Smallest Hamming distance between the codewords of distinct messages."""
-    n = code.n
-    messages = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    words = _packed_words(_codeword_bits(code, messages.astype(np.uint8)))
+    messages = np.arange(1 << code.n, dtype=np.uint64)[:, None]
+    words = _packed_words(_codeword_bits(code, messages))
     return min(
         int(np.bitwise_count(words[a + 1:] ^ words[a]).sum(axis=1).min())
         for a in range(len(words) - 1)

@@ -12,8 +12,9 @@ referee, who outputs "equal" or "unequal":
 
 A seeded block engine runs trials in blocks, one generator per block: a
 block's inputs, keys and referee coins are arrays, its verdicts one
-vectorised rule per protocol.  Reports aggregate them with exact theory
-values alongside.
+vectorised rule per protocol.  Messages stay (B, ceil(n/64)) uint64 words,
+the layout of ``codes._words``, from draw to verdict.  Reports aggregate the
+verdicts with exact theory values alongside.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import numpy as np
 from .codes import (
     BinaryCode,
     _agreements,
-    _bit_row,
     _check_bits,
-    _codeword_bits,
+    _same_bits,
+    _words,
     agreement_fraction,
     certify_distance,
 )
@@ -119,18 +120,30 @@ def _theory_bound(protocol_id: str, code: BinaryCode,
 
 def _sample_pairs(rng: np.random.Generator, pair_source: str, n: int, size: int,
                   t0: int, table) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs of trials t0 .. t0+size-1 as two (size, n) uint8 arrays."""
+    """Inputs of trials t0 .. t0+size-1 as two (size, ceil(n/64)) word arrays.
+
+    Each message is ceil(n/64) full-range uint64 words with the top word
+    masked to n bits.  x is drawn first, then y; under ``forced-unequal``
+    the rows where y equals x are redrawn, until none is left.
+    """
     if pair_source == "adversarial-list":
         rows = (t0 + np.arange(size)) % len(table[0])
         return table[0][rows], table[1][rows]
-    x = rng.integers(0, 2, (size, n), dtype=np.uint8)
+    top = np.uint64(2**64 - 1 >> -n % 64)
+
+    def draw(rows):
+        words = rng.integers(0, 2**64, (rows, -(-n // 64)), dtype=np.uint64)
+        words[:, -1] &= top
+        return words
+
+    x = draw(size)
     if pair_source == "forced-equal":
         return x, x
-    y = rng.integers(0, 2, (size, n), dtype=np.uint8)
+    y = draw(size)
     if pair_source == "forced-unequal":
         same = (x == y).all(axis=1)
         while same.any():
-            y[same] = rng.integers(0, 2, (int(same.sum()), n), dtype=np.uint8)
+            y[same] = draw(int(same.sum()))
             same = (x == y).all(axis=1)
     return x, y
 
@@ -158,22 +171,22 @@ def _block_accepts(protocol_id: str, code: BinaryCode, x: np.ndarray,
         p_one = _swap_p_one(_agreements(code, x, y), m)
         return ~(rng.random((size, k)) < p_one[:, None]).any(axis=1)
     if protocol_id == "shared-key":
-        idx = rng.integers(0, m, (size, r))
-        same = _codeword_bits(code, x, idx) == _codeword_bits(code, y, idx)
-        return same.all(axis=1)
+        idx = rng.integers(0, m, (size, r), dtype=np.uint64)
+        return _same_bits(code, x, y, idx).all(axis=1)
     # Mixture: (i, E_i(x)) against (j, E_j(y)) at independent positions.  The
     # no-inference referee can only confirm equality on a collision i = j,
-    # an event of probability exactly 1/m: the failure mode on display.
-    i = rng.integers(0, m, (size, 1))
-    j = rng.integers(0, m, (size, 1))
-    same = _codeword_bits(code, x, i) == _codeword_bits(code, y, j)
-    return (same & (i == j))[:, 0]
+    # an event of probability exactly 1/m: the failure mode on display.  On a
+    # collision E_j(y) is E_i(y), so the bits are compared at i.
+    i = rng.integers(0, m, (size, 1), dtype=np.uint64)
+    j = rng.integers(0, m, (size, 1), dtype=np.uint64)
+    return (_same_bits(code, x, y, i) & (i == j))[:, 0]
 
 
-# Trials per block; each block draws from its own generator.  At 256 a
-# block's arrays stay under 80 KB; larger blocks raise the peak RSS of a long
-# in-process run of requests (1024: about +0.4 MB over 3000 requests).
-BLOCK = 256
+# Trials per block; each block draws from its own generator.  At 4096 the
+# (B, r) positions and (B, k) coins take 32 KB per column and the kernel's
+# intermediates at most 128 KB, and a long in-process run of requests peaks
+# about 0.5 MB higher in RSS than at 256 (6000 smp-run requests).
+BLOCK = 4096
 
 _COST_KEYS = {"quantum": "quantum_qubits",
               "shared-key": "shared_key_message_bits",
@@ -220,7 +233,7 @@ def run_experiment(
         if not pairs:
             raise ConfigError("adversarial-list pair source needs explicit pairs")
         table = tuple(
-            np.stack([_bit_row(_check_bits(p[side], code.n, name)) for p in pairs])
+            np.stack([_words(_check_bits(p[side], code.n, name)) for p in pairs])
             for side, name in ((0, "x"), (1, "y"))
         )
     # Certification may hit its capability guard: fail before any trial runs.

@@ -22,7 +22,12 @@ from qfplab import (
     linear_code,
     random_linear_code,
 )
-from qfplab.codes import _agreements, _codeword_bits, _weight_distribution
+from qfplab.codes import (
+    _agreements,
+    _codeword_bits,
+    _packed_words,
+    _weight_distribution,
+)
 
 
 def all_messages(n):
@@ -44,6 +49,10 @@ def repetition_code(n, c):
 
 
 class TestEncode:
+    def test_one_dimensional_generator_rejected(self):
+        with pytest.raises(InputShapeError, match="2-D"):
+            linear_code(np.array([1, 0, 1]))
+
     def test_hadamard_zero_message(self):
         assert encode(hadamard_code(2), "00") == "0000"
 
@@ -135,14 +144,33 @@ class TestBatchKernel:
         rng = np.random.default_rng(3)
         batch = rng.integers(0, 2, (5, code.n), dtype=np.uint8)
         idx = rng.integers(0, code.m, (5, 7))
-        full = _codeword_bits(code, batch)
-        picked = _codeword_bits(code, batch, idx)
+        # the kernel takes messages as words: row x packs to int(x, 2)
+        words = _packed_words(batch)
+        full = _codeword_bits(code, words)
+        picked = _codeword_bits(code, words, idx)
         assert full.shape == (5, code.m) and picked.shape == (5, 7)
         for row, positions, bits, bits_at in zip(batch, idx, full, picked):
             x = "".join(str(b) for b in row)
             assert np.array_equal(bits, _codeword_bits(code, x))
             assert np.array_equal(bits, reference_codeword(code, x))
             assert np.array_equal(bits_at, _codeword_bits(code, x, positions))
+
+    @pytest.mark.parametrize("code", [
+        pytest.param(code, id=name or "random-linear4")
+        for name, code in BIT_KERNEL_CODES.items() if code.is_linear
+    ] + [pytest.param(random_linear_code(70, 2, seed=1), id="random-linear70")])
+    def test_batches_past_one_chunk_match_the_oracle(self, code):
+        # 2000 messages span several of the kernel's 2^14-word chunks, both
+        # for all m positions and for 11 positions per message
+        rng = np.random.default_rng(4)
+        batch = rng.integers(0, 2, (2000, code.n), dtype=np.uint8)
+        idx = rng.integers(0, code.m, (2000, 11))
+        expected = np.array([reference_codeword(code, "".join(map(str, row)))
+                             for row in batch])
+        words = _packed_words(batch)
+        assert np.array_equal(_codeword_bits(code, words), expected)
+        assert np.array_equal(_codeword_bits(code, words, idx),
+                              np.take_along_axis(expected, idx, axis=1))
 
 
 class TestCertifyDistance:
@@ -271,8 +299,8 @@ class TestAgreementFraction:
         msgs = all_messages(5)
         words = {x: encode(code, x) for x in msgs}
         pairs = list(itertools.product(msgs, repeat=2))
-        batch = [np.array([[int(ch) for ch in p[side]] for p in pairs],
-                          dtype=np.uint8) for side in (0, 1)]
+        batch = [np.array([[int(p[side], 2)] for p in pairs], dtype=np.uint64)
+                 for side in (0, 1)]
         direct = [sum(a == b for a, b in zip(words[x], words[y]))
                   for x, y in pairs]
         assert _agreements(code, *batch).tolist() == direct

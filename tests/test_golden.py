@@ -47,6 +47,11 @@ CASES = {
         "--n", "8", "--c", "3", "--code-seed", "11", "--r", "4",
         "--trials", "300", "--pair-source", "random-pairs", "--seed", "7",
     ],
+    # 5000 trials: a second block of 4096 and a short last block
+    "smp-run-shared-key-two-blocks": [
+        "smp-run", "--protocol", "shared-key", "--n", "6", "--r", "4",
+        "--trials", "5000", "--pair-source", "forced-unequal", "--seed", "5",
+    ],
     "smp-run-mixture-csv": [
         "smp-run", "--protocol", "mixture", "--n", "5", "--trials", "500",
         "--pair-source", "forced-equal", "--seed", "3", "--format", "csv",

@@ -23,7 +23,8 @@ from qfplab import (
     run_experiment,
 )
 from qfplab import protocols
-from qfplab.protocols import BLOCK, _swap_p_one
+from qfplab.codes import _weight_distribution
+from qfplab.protocols import BLOCK, _sample_pairs, _swap_p_one
 
 
 def all_messages(n):
@@ -285,3 +286,115 @@ class TestRunExperiment:
                 accept = quantum_accept_probability(code, x, y)
                 assert accept == (1 + g * g) / 2
                 assert accept <= worst
+
+
+class TestMessageWords:
+    @pytest.mark.parametrize("n", [5, 63, 64, 65, 70])
+    def test_draws_set_every_bit_below_n_and_none_above(self, n):
+        rng = np.random.default_rng(n)
+        for source in ("random-pairs", "forced-unequal"):
+            x, y = _sample_pairs(rng, source, n, 4096, 0, None)
+            assert x.shape == y.shape == (4096, -(-n // 64))
+            assert x.dtype == y.dtype == np.uint64
+            seen = np.bitwise_or.reduce(np.concatenate([x, y]), axis=0)
+            assert int.from_bytes(seen.astype("<u8").tobytes(), "little") \
+                == 2**n - 1
+
+    def test_two_word_messages_run_end_to_end(self):
+        # n = 70 takes two words per message, and the declared bound skips
+        # the 2^70 certificate.  Each position reads one message bit, which
+        # differs with probability 2^69/(2^70 - 1) on a uniform unequal pair,
+        # so a bit lost from either word moves the rate off 1/2.
+        eye = np.eye(70, dtype=np.uint8)
+        code = declared_code(70, 140, generator=np.vstack([eye, eye]),
+                             delta=Fraction(69, 70))
+        trials = 20000
+        rep = run_experiment("shared-key", code, trials, "forced-unequal",
+                             seed=3, r=1)
+        assert rep.trials_unequal == trials
+        p = 0.5
+        assert abs(rep.empirical_error_unequal - p) \
+            <= 5 * math.sqrt(p * (1 - p) / trials)
+
+    def test_stream_follows_the_documented_draw_order(self):
+        # README "smp-run streams", rebuilt with Python ints: block b draws
+        # from default_rng(SeedSequence((seed, b))) the x words, the y words,
+        # the forced-unequal redraws and then the key positions
+        n, r, trials, seed = 6, 4, 5000, 5
+        mask = np.uint64(2**n - 1)
+        wrong = 0
+        for block, t0 in enumerate(range(0, trials, 4096)):
+            size = min(4096, trials - t0)
+            rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
+
+            def draw(rows):
+                return rng.integers(0, 2**64, (rows, 1), dtype=np.uint64)[:, 0] & mask
+
+            x, y = draw(size), draw(size)
+            while (same := x == y).any():
+                y[same] = draw(int(same.sum()))
+            keys = rng.integers(0, 2**n, (size, r), dtype=np.uint64)
+            for xv, yv, row in zip(x.tolist(), y.tolist(), keys.tolist()):
+                wrong += all(bin(i & xv).count("1") % 2 == bin(i & yv).count("1") % 2
+                             for i in row)
+        rep = run_experiment("shared-key", hadamard_code(n), trials,
+                             "forced-unequal", seed=seed, r=r)
+        assert BLOCK == 4096
+        assert rep.empirical_error_unequal == wrong / trials
+
+
+K, R = 3, 3
+
+
+def unequal_weights(code):
+    """Distribution of the codeword weight of x XOR y, uniform over nonzero."""
+    if code.kind == "hadamard":
+        return {code.m // 2: Fraction(1)}
+    counts = _weight_distribution(code)
+    return {w: Fraction(int(a), 2**code.n - 1)
+            for w, a in enumerate(counts) if w and a}
+
+
+def pair_error(protocol_id, gamma, m):
+    """Exact wrong-accept probability of one unequal pair with overlap gamma."""
+    if protocol_id == "quantum":
+        return ((1 + gamma * gamma) / 2) ** K
+    if protocol_id == "shared-key":
+        return gamma**R
+    return gamma / m
+
+
+def z_score(rate, exact, count):
+    return (rate - float(exact)) / math.sqrt(float(exact * (1 - exact)) / count)
+
+
+EXACT_CODES = {"hadamard8": hadamard_code(8),
+               "random-linear12": random_linear_code(12, 3, 5)}
+
+
+class TestExactExpectedError:
+    # under both sources x XOR y is uniform over the nonzero messages, so a
+    # linear code's weight w follows A_w/(2^n - 1) and the overlap is 1 - w/m
+
+    @pytest.mark.parametrize("pair_source", ["forced-unequal", "random-pairs"])
+    @pytest.mark.parametrize("protocol_id", list(protocols.PROTOCOLS))
+    @pytest.mark.parametrize("name", list(EXACT_CODES))
+    def test_unequal_rate_within_five_sigma(self, name, protocol_id,
+                                            pair_source):
+        code = EXACT_CODES[name]
+        exact = sum(share * pair_error(protocol_id, 1 - Fraction(w, code.m),
+                                       code.m)
+                    for w, share in unequal_weights(code).items())
+        rep = run_experiment(protocol_id, code, 20000, pair_source, seed=11,
+                             k=K if protocol_id == "quantum" else None,
+                             r=R if protocol_id == "shared-key" else None)
+        assert abs(z_score(rep.empirical_error_unequal, exact,
+                           rep.trials_unequal)) <= 5
+
+    @pytest.mark.parametrize("name", list(EXACT_CODES))
+    def test_mixture_equal_rate_within_five_sigma(self, name):
+        code = EXACT_CODES[name]
+        rep = run_experiment("mixture", code, 20000, "forced-equal", seed=11)
+        exact = 1 - Fraction(1, code.m)
+        assert abs(z_score(rep.empirical_error_equal, exact,
+                           rep.trials_equal)) <= 5
