@@ -66,8 +66,11 @@ def _emit(report: dict, args: argparse.Namespace, csv_text: str | None = None):
     else:
         text = _canonical_json(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise QfpError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -194,31 +197,19 @@ def cmd_perm_test(args: argparse.Namespace) -> int:
 
 
 def cmd_smp_run(args: argparse.Namespace) -> int:
-    if args.pair and args.pair_source != "adversarial-list":
-        raise QfpError("--pair is only read with --pair-source adversarial-list")
-    if args.k is not None and args.protocol != "quantum":
-        raise QfpError("--k is only read with --protocol quantum")
-    if args.r is not None and args.protocol != "shared-key":
-        raise QfpError("--r is only read with --protocol shared-key")
     code = _build_code(args)
-    pairs = None
-    if args.pair:
-        pairs = []
-        for item in args.pair:
-            if ":" not in item:
-                raise QfpError(f"--pair expects X:Y bit-strings, got {item!r}")
-            px, py = item.split(":", 1)
-            pairs.append((px, py))
+    pairs = []
+    for item in args.pair or ():
+        if ":" not in item:
+            raise QfpError(f"--pair expects X:Y bit-strings, got {item!r}")
+        pairs.append(tuple(item.split(":", 1)))
     report = run_experiment(
         args.protocol, code, args.trials, args.pair_source, args.seed,
         k=args.k, r=args.r, pairs=pairs,
     )
     wrapped = _wrap("smp-run", args, report.to_json())
-    wrapped["results"]["message_cost_summary"] = message_costs(
-        code, k=args.k or 1, r=args.r or 1
-    )
-    csv_text = ",".join(report.CSV_COLUMNS) + "\n" + report.csv_row() + "\n"
-    _emit(wrapped, args, csv_text=csv_text)
+    wrapped["results"]["message_cost_summary"] = message_costs(code, **report.params)
+    _emit(wrapped, args, csv_text=report.to_csv())
     return EXIT_OK
 
 

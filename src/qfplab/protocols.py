@@ -14,12 +14,12 @@ A seeded block engine runs trials in blocks, one generator per block: a
 block's inputs, keys and referee coins are arrays, its verdicts one
 vectorised rule per protocol.  Messages stay (B, ceil(n/64)) uint64 words,
 the layout of ``codes._words``, from draw to verdict.  Reports aggregate the
-verdicts with exact theory values alongside.
+verdicts with exact theory values alongside.  ``_PROTOCOLS`` names the one
+repetition count and the one ``message_costs`` entry of each protocol.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import sqrt
@@ -39,7 +39,13 @@ from .errors import ConfigError
 from .permtest import p_eq_closed_form
 from .qstate import qubits_required
 
-PROTOCOLS = ("quantum", "shared-key", "mixture")
+# Protocol -> (the repetition count it reads, its key in message_costs).
+_PROTOCOLS = {
+    "quantum": ("k", "quantum_qubits"),
+    "shared-key": ("r", "shared_key_message_bits"),
+    "mixture": (None, "mixture_bits"),
+}
+PROTOCOLS = tuple(_PROTOCOLS)
 PAIR_SOURCES = ("random-pairs", "forced-equal", "forced-unequal", "adversarial-list")
 
 
@@ -82,40 +88,34 @@ class ExperimentReport:
     def to_json(self) -> dict:
         return asdict(self)
 
-    def json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
-
-    CSV_COLUMNS = (
-        "protocol_id", "code_kind", "n", "m", "k", "r", "pair_source",
-        "trials", "trials_equal", "trials_unequal",
-        "empirical_error_equal", "empirical_error_unequal",
-        "theory_error_bound", "confidence_radius",
-        "cost_alice", "cost_bob", "seed",
-    )
-
-    def csv_row(self) -> str:
-        cost = self.message_cost
-        values = [
-            self.protocol_id, self.code["kind"], self.n, self.code["m"],
-            self.params.get("k", ""), self.params.get("r", ""),
-            self.pair_source, self.trials, self.trials_equal,
-            self.trials_unequal, self.empirical_error_equal,
-            self.empirical_error_unequal, self.theory_error_bound,
-            self.confidence_radius, cost.get("alice"), cost.get("bob"),
-            self.seed,
-        ]
-        return ",".join("" if v is None else repr(v) if isinstance(v, float)
-                        else str(v) for v in values)
+    def to_csv(self) -> str:
+        """The flat projection: a header line and one row, in column order."""
+        columns = {
+            "protocol_id": self.protocol_id, "code_kind": self.code["kind"],
+            "n": self.n, "m": self.code["m"],
+            "k": self.params.get("k", ""), "r": self.params.get("r", ""),
+            "pair_source": self.pair_source, "trials": self.trials,
+            "trials_equal": self.trials_equal,
+            "trials_unequal": self.trials_unequal,
+            "empirical_error_equal": self.empirical_error_equal,
+            "empirical_error_unequal": self.empirical_error_unequal,
+            "theory_error_bound": self.theory_error_bound,
+            "confidence_radius": self.confidence_radius,
+            "cost_alice": self.message_cost.get("alice"),
+            "cost_bob": self.message_cost.get("bob"), "seed": self.seed,
+        }
+        row = ("" if v is None else repr(v) if isinstance(v, float) else str(v)
+               for v in columns.values())
+        return ",".join(columns) + "\n" + ",".join(row) + "\n"
 
 
 def _theory_bound(protocol_id: str, code: BinaryCode,
-                  k: int | None, r: int | None) -> float | None:
+                  reps: int | None) -> float | None:
     if protocol_id == "mixture":
         return None
     delta = certify_distance(code).max_agreement
-    if protocol_id == "quantum":
-        return float(p_eq_closed_form(1, delta) ** k)
-    return float(delta**r)
+    per_rep = p_eq_closed_form(1, delta) if protocol_id == "quantum" else delta
+    return float(per_rep**reps)
 
 
 def _sample_pairs(rng: np.random.Generator, pair_source: str, n: int, size: int,
@@ -163,15 +163,15 @@ def _swap_p_one(agree, m: int):
 
 def _block_accepts(protocol_id: str, code: BinaryCode, x: np.ndarray,
                    y: np.ndarray, rng: np.random.Generator,
-                   k: int | None, r: int | None) -> np.ndarray:
+                   reps: int | None) -> np.ndarray:
     """The referee's verdicts on one block of pairs: True where it says equal."""
     m, size = code.m, len(x)
     if protocol_id == "quantum":
-        # Unequal on any of k swap tests measuring 1.
+        # Unequal on any of k = reps swap tests measuring 1.
         p_one = _swap_p_one(_agreements(code, x, y), m)
-        return ~(rng.random((size, k)) < p_one[:, None]).any(axis=1)
+        return ~(rng.random((size, reps)) < p_one[:, None]).any(axis=1)
     if protocol_id == "shared-key":
-        idx = rng.integers(0, m, (size, r), dtype=np.uint64)
+        idx = rng.integers(0, m, (size, reps), dtype=np.uint64)
         return _same_bits(code, x, y, idx).all(axis=1)
     # Mixture: (i, E_i(x)) against (j, E_j(y)) at independent positions.  The
     # no-inference referee can only confirm equality on a collision i = j,
@@ -187,10 +187,6 @@ def _block_accepts(protocol_id: str, code: BinaryCode, x: np.ndarray,
 # intermediates at most 128 KB, and a long in-process run of requests peaks
 # about 0.5 MB higher in RSS than at 256 (6000 smp-run requests).
 BLOCK = 4096
-
-_COST_KEYS = {"quantum": "quantum_qubits",
-              "shared-key": "shared_key_message_bits",
-              "mixture": "mixture_bits"}
 
 
 def run_experiment(
@@ -211,8 +207,9 @@ def run_experiment(
     The adversarial-list source cycles deterministically through the
     supplied pairs by trial index; the other sources draw inputs from the
     block generator.  The shared-key key and the referee's coins are drawn
-    fresh per trial and never reported.  A code past the certification
-    guard raises ``CapabilityError`` before any trial runs.
+    fresh per trial and never reported.  A ``k``, ``r`` or ``pairs`` that the
+    protocol or pair source does not read raises ``ConfigError``, and a code
+    past the certification guard ``CapabilityError``, before any trial runs.
     """
     if protocol_id not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol_id!r}; expected {PROTOCOLS}")
@@ -222,12 +219,15 @@ def run_experiment(
         )
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    if protocol_id == "quantum":
-        if k is None or k < 1:
-            raise ConfigError("quantum protocol needs k >= 1 repetitions")
-    elif protocol_id == "shared-key":
-        if r is None or r < 1:
-            raise ConfigError("shared-key protocol needs r >= 1 indices")
+    reps_name, cost_key = _PROTOCOLS[protocol_id]
+    counts = {"k": k, "r": r}
+    for owner, (name, _) in _PROTOCOLS.items():
+        if name not in (None, reps_name) and counts[name] is not None:
+            raise ConfigError(f"{name} (--{name}) is only read by the {owner} "
+                              "protocol")
+    reps = counts.get(reps_name)
+    if reps_name and (reps is None or reps < 1):
+        raise ConfigError(f"{protocol_id} protocol needs {reps_name} >= 1")
     table = None
     if pair_source == "adversarial-list":
         if not pairs:
@@ -236,15 +236,18 @@ def run_experiment(
             np.stack([_words(_check_bits(p[side], code.n, name)) for p in pairs])
             for side, name in ((0, "x"), (1, "y"))
         )
+    elif pairs:
+        raise ConfigError("pairs (--pair) is only read by the adversarial-list "
+                          "pair source")
     # Certification may hit its capability guard: fail before any trial runs.
-    bound = _theory_bound(protocol_id, code, k, r)
+    bound = _theory_bound(protocol_id, code, reps)
 
     n_equal = wrong_equal = wrong_unequal = 0
     for block, t0 in enumerate(range(0, trials, BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
         x, y = _sample_pairs(rng, pair_source, code.n,
                              min(BLOCK, trials - t0), t0, table)
-        accept = _block_accepts(protocol_id, code, x, y, rng, k, r)
+        accept = _block_accepts(protocol_id, code, x, y, rng, reps)
         equal = (x == y).all(axis=1)
         n_equal += int(equal.sum())
         wrong_equal += int((equal & ~accept).sum())
@@ -254,8 +257,8 @@ def run_experiment(
     err_eq = wrong_equal / n_equal if n_equal else None
     err_ne = wrong_unequal / n_unequal if n_unequal else None
     err, count = (err_ne, n_unequal) if n_unequal else (err_eq, n_equal)
-    params = {name: v for name, v in (("k", k), ("r", r)) if v is not None}
-    cost = message_costs(code, k=k or 1, r=r or 1)[_COST_KEYS[protocol_id]]
+    params = {reps_name: reps} if reps_name else {}
+    cost = message_costs(code, **params)[cost_key]
     return ExperimentReport(
         protocol_id=protocol_id,
         code=code.to_json(),

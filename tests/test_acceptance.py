@@ -41,7 +41,7 @@ from qfplab import (
     swap_test_circuit_state,
     distinguisher_lower_bound,
 )
-from qfplab.cli import main as cli_main
+from qfplab.cli import _canonical_json, main as cli_main
 
 
 def _report(number: int, name: str, started: float, budget: float) -> None:
@@ -209,7 +209,7 @@ def test_criterion_9_determinism(tmp_path=None):
     kwargs = dict(trials=2000, pair_source="forced-unequal", seed=314, k=4)
     first = run_experiment("quantum", hadamard_code(6), **kwargs)
     second = run_experiment("quantum", hadamard_code(6), **kwargs)
-    assert first.json_str() == second.json_str()
+    assert _canonical_json(first.to_json()) == _canonical_json(second.to_json())
 
     if tmp_path is None:
         import tempfile

@@ -132,6 +132,15 @@ class TestSmpRun:
         assert header.split(",")[0] == "protocol_id"
         assert row.split(",")[0] == "quantum"
 
+    @pytest.mark.parametrize("parts", [("missing", "report.json"), ()],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_out_exit_2(self, parts, tmp_path, capsys):
+        path = tmp_path.joinpath(*parts)
+        assert main(self.ARGS + ["--out", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out")
+        assert str(path) in err
+
     def test_adversarial_pairs(self, tmp_path):
         report = run_json(tmp_path, [
             "smp-run", "--protocol", "shared-key", "--n", "4", "--r", "2",

@@ -213,7 +213,7 @@ def generator_pair_numerators(rng, size, d):
 class TestRawDrawLayout:
     """The raw-word draws reproduce the Generator.integers formulation."""
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(count=st.integers(2, 5), d=st.integers(1, 200),
            seed=st.integers(0, 2**32 - 1))
     @example(count=2, d=1, seed=0)
@@ -226,7 +226,7 @@ class TestRawDrawLayout:
                 0, 2, d, dtype=np.int8) * 2 - 1
             assert np.array_equal(row, expected)
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(size=st.integers(1, 300), d=st.integers(1, 100),
            seed=st.integers(0, 2**32 - 1))
     @example(size=1, d=1, seed=0)
@@ -237,7 +237,7 @@ class TestRawDrawLayout:
         expected = generator_pair_numerators(np.random.default_rng(child), size, d)
         assert np.array_equal(_pair_numerators(child, size, d), expected)
 
-    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=10)
     @given(pairs=st.integers(1, 9000), d=st.integers(1, 40),
            seed=st.integers(0, 2**32 - 1))
     @example(pairs=4097, d=37, seed=4)

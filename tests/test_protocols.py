@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from qfplab import (
     run_experiment,
 )
 from qfplab import protocols
+from qfplab.cli import _canonical_json
 from qfplab.codes import _weight_distribution
 from qfplab.protocols import BLOCK, _sample_pairs, _swap_p_one
 
@@ -207,13 +209,14 @@ class TestRunExperiment:
         assert reports[0].trials_unequal == unequal
         assert reports[0].trials_equal == trials - unequal
         assert reports[0].empirical_error_equal == 0.0
-        assert reports[0].json_str() == reports[1].json_str()
+        assert _canonical_json(reports[0].to_json()) \
+            == _canonical_json(reports[1].to_json())
 
     def test_deterministic_reports_byte_identical(self):
         kwargs = dict(trials=500, pair_source="random-pairs", seed=99, k=2)
         a = run_experiment("quantum", hadamard_code(5), **kwargs)
         b = run_experiment("quantum", hadamard_code(5), **kwargs)
-        assert a.json_str() == b.json_str()
+        assert _canonical_json(a.to_json()) == _canonical_json(b.to_json())
 
     def test_three_sigma_coverage_over_many_runs(self):
         # binomial sanity: at least 99 of 100 seeded runs land within 3 sigma
@@ -268,11 +271,35 @@ class TestRunExperiment:
             run_experiment("quantum", hadamard_code(4), 10, "adversarial-list",
                            seed=0, k=1)
 
+    @pytest.mark.parametrize("protocol_id,pair_source,own,unread,flag", [
+        ("shared-key", "random-pairs", {"r": 2}, {"k": 3}, "--k"),
+        ("quantum", "random-pairs", {"k": 2}, {"r": 3}, "--r"),
+        ("mixture", "random-pairs", {}, {"k": 3}, "--k"),
+        ("mixture", "random-pairs", {}, {"r": 3}, "--r"),
+        ("quantum", "random-pairs", {"k": 2}, {"pairs": [("0000", "1111")]},
+         "--pair"),
+        ("shared-key", "forced-equal", {"r": 2}, {"pairs": [("0000", "1111")]},
+         "--pair"),
+        ("mixture", "forced-unequal", {}, {"pairs": [("0000", "1111")]},
+         "--pair"),
+    ], ids=["shared-key-k", "quantum-r", "mixture-k", "mixture-r",
+            "random-pairs-pairs", "forced-equal-pairs", "forced-unequal-pairs"])
+    def test_unread_input_rejected(self, protocol_id, pair_source, own, unread,
+                                   flag):
+        # the message names the keyword and its flag; without the unread
+        # input the run goes through and echoes only the protocol's count
+        (keyword,) = unread
+        with pytest.raises(ConfigError, match=re.escape(f"{keyword} ({flag})")):
+            run_experiment(protocol_id, hadamard_code(4), 10, pair_source,
+                           seed=0, **own, **unread)
+        rep = run_experiment(protocol_id, hadamard_code(4), 10, pair_source,
+                             seed=0, **own)
+        assert rep.params == own
+
     def test_csv_row_matches_columns(self):
         rep = run_experiment("mixture", hadamard_code(4), 50, "forced-equal",
                              seed=7)
-        header = rep.CSV_COLUMNS
-        row = rep.csv_row().split(",")
+        header, row = (line.split(",") for line in rep.to_csv().splitlines())
         assert len(row) == len(header)
 
     def test_per_pair_wrong_accept_exact_exhaustively(self):
@@ -346,6 +373,11 @@ class TestMessageWords:
 K, R = 3, 3
 
 
+def own_count(protocol_id):
+    """The one repetition count each protocol reads, as keyword arguments."""
+    return {"quantum": {"k": K}, "shared-key": {"r": R}}.get(protocol_id, {})
+
+
 def unequal_weights(code):
     """Distribution of the codeword weight of x XOR y, uniform over nonzero."""
     if code.kind == "hadamard":
@@ -386,8 +418,28 @@ class TestExactExpectedError:
                                        code.m)
                     for w, share in unequal_weights(code).items())
         rep = run_experiment(protocol_id, code, 20000, pair_source, seed=11,
-                             k=K if protocol_id == "quantum" else None,
-                             r=R if protocol_id == "shared-key" else None)
+                             **own_count(protocol_id))
+        assert abs(z_score(rep.empirical_error_unequal, exact,
+                           rep.trials_unequal)) <= 5
+
+    @pytest.mark.parametrize("protocol_id", list(protocols.PROTOCOLS))
+    @pytest.mark.parametrize("name", list(EXACT_CODES))
+    def test_adversarial_list_rate_within_five_sigma(self, name, protocol_id):
+        # trials cycle through the list, so each of its 8 unequal pairs takes
+        # 2000 of the 16 000 unequal trials and the exact rate is their mean
+        code = EXACT_CODES[name]
+        rng = np.random.default_rng(17)
+        pairs = []
+        while len(pairs) < 8:
+            x, y = ("".join(map(str, rng.integers(0, 2, code.n))) for _ in "xy")
+            if x != y:
+                pairs.append((x, y))
+        exact = sum(pair_error(protocol_id, agreement_fraction(code, x, y),
+                               code.m) for x, y in pairs) / len(pairs)
+        rep = run_experiment(protocol_id, code, 18000, "adversarial-list",
+                             seed=11, pairs=pairs + [(pairs[0][0],) * 2],
+                             **own_count(protocol_id))
+        assert rep.trials_unequal == 16000
         assert abs(z_score(rep.empirical_error_unequal, exact,
                            rep.trials_unequal)) <= 5
 
