@@ -9,11 +9,13 @@ overlap are linearly independent via strict diagonal dominance.
 
 Sign bits are raw ``PCG64`` output words read as little-endian bytes, so
 both streams depend only on ``SeedSequence`` and ``PCG64`` (stable under
-NEP 19), not on ``Generator.integers``.  Set mode: one ``PCG64`` per vector,
-ceil(d/8) words, coordinate j is +1 when the top bit of byte j is set.  Pair
-mode: one per block of up to 4096 pairs, ceil(size*d/32) words; bit i (LSB
-first) of the first half of their bytes is v's row-major coordinate i, and
-of the second half w's.
+NEP 19), not on ``Generator.integers``.  Set mode: vector i reads ceil(d/8)
+words of the PCG64 seeded by the seed's i-th spawned child, and coordinate
+j is +1 when the top bit of byte j is set; those words are computed for the
+whole set in uint64 array arithmetic, with no per-vector object.  Pair
+mode: one ``PCG64`` per block of up to 4096 pairs, ceil(size*d/32) words;
+bit i (LSB first) of the first half of their bytes is v's row-major
+coordinate i, and of the second half w's.
 """
 
 from __future__ import annotations
@@ -85,18 +87,139 @@ class VectorSet:
         return Fraction(num, self.d)
 
 
+# SeedSequence hash constants, from numpy/random/bit_generator.pyx (after
+# M. O'Neill's seed_seq_fe); every product below is taken mod 2^32.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# PCG_DEFAULT_MULTIPLIER_128, from numpy/random/src/pcg64/pcg64.h
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+# rows per chunk are sized so that no (rows, words) temporary exceeds this
+_CHUNK_WORDS = 1 << 16
+
+
+def _uint32_words(x) -> int:
+    """Length of the uint32 array numpy's SeedSequence makes of ``x``."""
+    if isinstance(x, (int, np.integer)):
+        return max(1, -(-int(x).bit_length() // 32))
+    return sum(_uint32_words(v) for v in x)
+
+
+def _hash32(x: np.ndarray, key: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Both SeedSequence hashes, ``((x ^ key) * mult) ^ (... >> 16)`` mod 2^32."""
+    h = (x ^ key) * mult
+    return h ^ (h >> 16)
+
+
+def _child_seeds(root: np.random.SeedSequence, first: int, count: int):
+    """PCG64 ``initstate`` and ``initseq`` of children ``first .. first+count-1``.
+
+    Child i's spawn key is ``root.spawn_key + (i,)``, so its assembled entropy
+    is the root's followed by the uint32 words of i, and its pool is the
+    root's pool with those words mixed in.  The root had made
+    c = P + P(P-1) + P max(0, L-P) hash calls, P its pool size and L its
+    entropy's word count (padded to P under a spawn key), so the hash
+    constant stands at INIT_A MULT_A^c.  Returns a (count, 4) uint64 array
+    of ``generate_state(4, uint64)``: initstate's high and low words, then
+    initseq's.
+    """
+    size = root.pool_size
+    run = _uint32_words(root.entropy)
+    if root.spawn_key:
+        run = max(run, size)
+    length = run + _uint32_words(root.spawn_key)
+    calls = size + size * (size - 1) + size * max(0, length - size)
+    pools = np.tile(root.pool, (count, 1))
+    index = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    for word in range(_uint32_words(first)):
+        consts = np.array([_INIT_A * pow(_MULT_A, calls + t, 1 << 32) & _M32
+                           for t in range(size + 1)], dtype=np.uint32)
+        value = ((index >> 32 * word) & _M32).astype(np.uint32)
+        h = _hash32(value[:, None], consts[:-1], consts[1:])
+        pools = pools * _MIX_MULT_L - h * _MIX_MULT_R
+        pools ^= pools >> 16
+        calls += size
+    # generate_state(4, uint64): 8 uint32 words cycling over the pool
+    consts = np.array([_INIT_B * pow(_MULT_B, t, 1 << 32) & _M32
+                       for t in range(9)], dtype=np.uint32)
+    state = _hash32(pools[:, np.arange(8) % size], consts[:-1], consts[1:])
+    return state[:, 0::2].astype(np.uint64) | (state[:, 1::2].astype(np.uint64) << 32)
+
+
+def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit Python ints as arrays of their high and low uint64 words."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _M64 for v in values], dtype=np.uint64))
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    """Low 128 bits of a * b in uint64 limbs; the high word of a_lo * b_lo
+    is summed from its four 32-bit partial products."""
+    a0, a1, b0, b1 = a_lo & _M32, a_lo >> 32, b_lo & _M32, b_lo >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return carry + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+
+
+def _pcg64_words(root: np.random.SeedSequence, count: int, words: int) -> np.ndarray:
+    """``PCG64(child).random_raw(words)`` for each of ``root.spawn(count)``.
+
+    PCG64 seeds with inc = initseq << 1 | 1 and state = (inc + initstate) a
+    + inc, a its multiplier, then steps (state = state a + inc) before each
+    XSL-RR output.  So output word k reads the state a^(k+2) initstate +
+    c_(k+3) inc, with c_j = 1 + a + ... + a^(j-1), all mod 2^128, and one
+    pass of array arithmetic serves every word.
+    """
+    mults, adds = [], []
+    power, total = _PCG_MULT**2 % (1 << 128), 1 + _PCG_MULT
+    for _ in range(words):
+        total = (total + power) % (1 << 128)
+        mults.append(power)
+        adds.append(total)
+        power = power * _PCG_MULT % (1 << 128)
+    m_hi, m_lo = _limbs(mults)
+    c_hi, c_lo = _limbs(adds)
+    out = np.empty((count, words), dtype=np.uint64)
+    step = max(1, _CHUNK_WORDS // words)
+    first = start = root.n_children_spawned
+    stop = first + count
+    while start < stop:
+        # a chunk's indices share one uint32 word count (i < 2^32 has one)
+        end = min(stop, start + step, 1 << 32 * _uint32_words(start))
+        s_hi, s_lo, q_hi, q_lo = np.hsplit(_child_seeds(root, start, end - start), 4)
+        i_hi = (q_hi << 1) | (q_lo >> 63)
+        i_lo = (q_lo << 1) | 1
+        x_hi, x_lo = _mul128(m_hi, m_lo, s_hi, s_lo)
+        y_hi, y_lo = _mul128(c_hi, c_lo, i_hi, i_lo)
+        lo = x_lo + y_lo
+        hi = x_hi + y_hi + (lo < x_lo)
+        # XSL-RR: the xor of both halves, rotated right by the top 6 bits
+        mixed, rot = hi ^ lo, hi >> 58
+        out[start - first:end - first] = (mixed >> rot) | (mixed << ((64 - rot) & 63))
+        start = end
+    return out
+
+
 def sample_vector_set(
     count: int, d: int, seed, delta_target: float | None = None
 ) -> VectorSet:
-    """count i.i.d. uniform sign vectors, one derived sub-seed per vector."""
+    """count i.i.d. uniform sign vectors, one derived sub-seed per vector.
+
+    Vector i reads ``PCG64(child).random_raw(ceil(d/8))`` for the i-th of
+    ``root.spawn(count)`` children, computed for all vectors at once without
+    building them.  A passed ``SeedSequence`` is left unchanged: its
+    ``n_children_spawned`` does not advance, so passing the same object
+    twice gives the same set, where ``spawn`` would give the next children.
+    """
     if count < 2:
         raise DomainError(f"count must be >= 2, got {count}")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     root = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
-    words = -(-d // 8)
-    raw = np.stack([np.random.PCG64(c).random_raw(words) for c in root.spawn(count)])
+    raw = _pcg64_words(root, count, -(-d // 8))
     top = raw.astype("<u8", copy=False).view(np.uint8)[:, :d] >> 7
     rows = top.astype(np.int8) * 2 - 1
     plain_seed = seed if isinstance(seed, int) else None

@@ -35,7 +35,7 @@ from .codes import (
     agreement_fraction,
     certify_distance,
 )
-from .errors import ConfigError
+from .errors import CapabilityError, ConfigError
 from .permtest import p_eq_closed_form
 from .qstate import qubits_required
 
@@ -187,6 +187,9 @@ def _block_accepts(protocol_id: str, code: BinaryCode, x: np.ndarray,
 # intermediates at most 128 KB, and a long in-process run of requests peaks
 # about 0.5 MB higher in RSS than at 256 (6000 smp-run requests).
 BLOCK = 4096
+# Guard on the (B, k) coins or (B, r) positions one block draws: 2^22
+# draws are 32 MB of float64 or uint64.
+MAX_BLOCK_DRAWS = 1 << 22
 
 
 def run_experiment(
@@ -208,8 +211,9 @@ def run_experiment(
     supplied pairs by trial index; the other sources draw inputs from the
     block generator.  The shared-key key and the referee's coins are drawn
     fresh per trial and never reported.  A ``k``, ``r`` or ``pairs`` that the
-    protocol or pair source does not read raises ``ConfigError``, and a code
-    past the certification guard ``CapabilityError``, before any trial runs.
+    protocol or pair source does not read raises ``ConfigError``; a block
+    of more than ``MAX_BLOCK_DRAWS`` coins or positions, or a code past the
+    certification guard, raises ``CapabilityError``, before any trial runs.
     """
     if protocol_id not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol_id!r}; expected {PROTOCOLS}")
@@ -228,12 +232,21 @@ def run_experiment(
     reps = counts.get(reps_name)
     if reps_name and (reps is None or reps < 1):
         raise ConfigError(f"{protocol_id} protocol needs {reps_name} >= 1")
+    block_draws = min(BLOCK, trials) * (reps or 0)
+    if block_draws > MAX_BLOCK_DRAWS:
+        raise CapabilityError(
+            f"{reps_name} (--{reps_name}) = {reps} draws {block_draws} values "
+            f"per block of {min(BLOCK, trials)} trials, above the guard "
+            f"{MAX_BLOCK_DRAWS}"
+        )
     table = None
     if pair_source == "adversarial-list":
         if not pairs:
             raise ConfigError("adversarial-list pair source needs explicit pairs")
         table = tuple(
-            np.stack([_words(_check_bits(p[side], code.n, name)) for p in pairs])
+            np.stack([
+                _words(_check_bits(p[side], code.n, f"pairs[{i}] (--pair) {name}"))
+                for i, p in enumerate(pairs)])
             for side, name in ((0, "x"), (1, "y"))
         )
     elif pairs:

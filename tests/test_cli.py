@@ -181,6 +181,24 @@ class TestSmpRun:
         assert code == EXIT_USAGE
         assert "--r" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("protocol,flag", [
+        ("quantum", "--k"), ("shared-key", "--r")])
+    def test_huge_repetition_count_exit_3_fast(self, protocol, flag, capsys):
+        # 4096 trials a block times 10^8 draws each: refused, not run
+        start = time.perf_counter()
+        code = main(["smp-run", "--protocol", protocol, "--n", "4",
+                     flag, "100000000", "--trials", "5000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CAPABILITY
+        assert "guard 4194304" in capsys.readouterr().err
+
+    def test_bad_pair_names_its_index_and_flag(self, capsys):
+        code = main(["smp-run", "--protocol", "mixture", "--n", "4",
+                     "--trials", "10", "--pair-source", "adversarial-list",
+                     "--pair", "0000:0000", "--pair", "0000:11x1"])
+        assert code == EXIT_USAGE
+        assert "pairs[1] (--pair) y must be a bit-string" in capsys.readouterr().err
+
     def test_hadamard_n64_exit_3(self, tmp_path, capsys):
         code = main(["smp-run", "--protocol", "mixture", "--n", "64",
                      "--trials", "2"])

@@ -32,6 +32,10 @@ CASES = {
         "nearset", "--n", "5", "--delta", "0.3", "--seeds", "2",
         "--gram-size", "3", "--seed", "3",
     ],
+    # the benchmark's set shape: 2048 vectors of d = 85, 11 words each
+    "nearset-n11": [
+        "nearset", "--n", "11", "--delta", "0.6", "--seed", "5",
+    ],
     # d = 37 is not a multiple of 32 and 5000 pairs leave a short last block
     "nearset-pairs": [
         "nearset", "--pair-mode", "--d", "37", "--delta", "0.3",

@@ -20,7 +20,7 @@ from qfplab import (
     sample_vector_set,
     swap_test_analytic,
 )
-from qfplab.nearset import VectorSet, _pair_numerators
+from qfplab.nearset import VectorSet, _pair_numerators, _pcg64_words
 
 
 class TestRequiredDimension:
@@ -254,6 +254,57 @@ class TestRawDrawLayout:
             assert audit.violating_pairs == sum(
                 int(n) for v, n in zip(*np.unique(nums, return_counts=True))
                 if Fraction(int(v), d) > Fraction(delta))
+
+
+def reference_words(root, count, words):
+    """Raw words of the children ``root.spawn(count)`` would make, one PCG64
+    each; built from their spawn keys, since ``spawn`` mutates ``root``."""
+    first = root.n_children_spawned
+    return np.stack([
+        np.random.PCG64(np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (i,),
+            pool_size=root.pool_size)).random_raw(words)
+        for i in range(first, first + count)])
+
+
+class TestComputedStreams:
+    """The array-computed PCG64 words equal NumPy's, object by object."""
+
+    def test_reference_is_spawn(self):
+        root = np.random.SeedSequence(9, spawn_key=(2,), n_children_spawned=17)
+        expected = reference_words(root, 5, 3)
+        children = root.spawn(5)
+        assert np.array_equal(
+            np.stack([np.random.PCG64(c).random_raw(3) for c in children]),
+            expected)
+
+    @settings(max_examples=40)
+    @given(entropy=st.one_of(
+               st.integers(0, 2**64),
+               st.lists(st.integers(0, 2**40), min_size=1, max_size=9).map(tuple),
+               st.integers(2**128, 2**300)),
+           spawn_key=st.lists(st.integers(0, 2**40), max_size=3).map(tuple),
+           pool_size=st.sampled_from([4, 8]),
+           first=st.sampled_from([0, 17, 2**32 - 2]),
+           count=st.integers(2, 300), d=st.integers(1, 1000))
+    @example(entropy=5, spawn_key=(), pool_size=4, first=0, count=2048, d=85)
+    @example(entropy=2**200, spawn_key=(3, 0), pool_size=8, first=2**32 - 2,
+             count=300, d=1000)
+    @example(entropy=(1, 2**33), spawn_key=(), pool_size=4, first=2**32 - 1,
+             count=2, d=1)
+    def test_matches_pcg64(self, entropy, spawn_key, pool_size, first, count, d):
+        root = np.random.SeedSequence(entropy, spawn_key=spawn_key,
+                                      pool_size=pool_size,
+                                      n_children_spawned=first)
+        words = -(-d // 8)
+        expected = reference_words(root, count, words)
+        assert np.array_equal(_pcg64_words(root, count, words), expected)
+        top = expected.astype("<u8").view(np.uint8)[:, :d] >> 7
+        vset = sample_vector_set(count, d, root)
+        assert np.array_equal(vset.signs, top.astype(np.int8) * 2 - 1)
+        # the passed SeedSequence is left as it was: a second call repeats
+        assert root.n_children_spawned == first
+        assert np.array_equal(sample_vector_set(count, d, root).signs, vset.signs)
 
 
 class TestGramDominance:

@@ -26,7 +26,7 @@ from qfplab import (
 from qfplab import protocols
 from qfplab.cli import _canonical_json
 from qfplab.codes import _weight_distribution
-from qfplab.protocols import BLOCK, _sample_pairs, _swap_p_one
+from qfplab.protocols import BLOCK, MAX_BLOCK_DRAWS, _sample_pairs, _swap_p_one
 
 
 def all_messages(n):
@@ -254,6 +254,27 @@ class TestRunExperiment:
         with pytest.raises(CapabilityError, match="guard"):
             run_experiment(protocol_id, code, 10**6, "random-pairs", seed=0,
                            **params)
+
+    @pytest.mark.parametrize("protocol_id,name", [
+        ("quantum", "k"), ("shared-key", "r")])
+    def test_block_draw_guard(self, monkeypatch, protocol_id, name):
+        # a block of min(BLOCK, trials) trials draws that many values per
+        # unit of the count; the guard admits exactly MAX_BLOCK_DRAWS
+        code = hadamard_code(4)
+        rep = run_experiment(protocol_id, code, 2, "random-pairs", seed=0,
+                             **{name: MAX_BLOCK_DRAWS // 2})
+        assert rep.params == {name: MAX_BLOCK_DRAWS // 2}
+
+        def no_trials(*args):
+            raise AssertionError("a trial block ran before the guard")
+
+        monkeypatch.setattr(protocols, "_block_accepts", no_trials)
+        for trials in (2, 10**6):
+            count = MAX_BLOCK_DRAWS // min(BLOCK, trials) + 1
+            with pytest.raises(CapabilityError, match=re.escape(
+                    f"{name} (--{name}) = {count}")):
+                run_experiment(protocol_id, code, trials, "random-pairs",
+                               seed=0, **{name: count})
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigError):
