@@ -185,13 +185,14 @@ def cmd_perm_test(args: argparse.Namespace) -> int:
     phi, psi = overlap_qubit_pair(gamma)
     try:
         results["projection"] = projection = p_eq_projection(phi, psi, args.k)
+    except CapabilityError as exc:
+        results["projection"] = {"skipped": str(exc)}
+    else:
         if args.trials:
             results["sampled"] = {
                 "p_equal": sample_rate(projection, args.trials, args.seed),
                 "trials": args.trials,
             }
-    except CapabilityError as exc:
-        results["projection"] = {"skipped": str(exc)}
     _emit(_wrap("perm-test", args, results), args)
     return EXIT_OK
 

@@ -40,6 +40,8 @@ DECLARED = "declared"
 CERTIFY_MAX_WORDS = 2**25
 # Packed words (128 KB) in the enumerator's table of low-bit codewords.
 _TABLE_WORDS = 2**14
+# Entries c*n^2 of a sampled random-linear generator (1 MB of uint8).
+GENERATOR_MAX_ENTRIES = 2**20
 # Hadamard positions are codeword rows of one 64-bit word each.
 HADAMARD_MAX_N = 63
 _HEX_ROW = re.compile(r"[0-9a-fA-F]+")
@@ -207,6 +209,9 @@ def random_linear_code(n: int, c: int, seed: int) -> BinaryCode:
     """
     if c < 2:
         raise DomainError(f"rate multiple c must be >= 2, got c={c}")
+    if c * n * n > GENERATOR_MAX_ENTRIES:
+        raise CapabilityError(f"a random-linear generator of c*n^2 = {c * n * n} "
+                              f"entries is above the guard {GENERATOR_MAX_ENTRIES}")
     rng = np.random.default_rng(seed)
     while True:
         g = rng.integers(0, 2, size=(c * n, n), dtype=np.uint8)
@@ -333,27 +338,21 @@ def _agreements(code: BinaryCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Hadamard codewords of distinct messages agree on exactly m/2 positions,
     so no codeword is built (uint64, since m = 2^63 at n = 63).  Other codes
-    build full codewords for ⌊2^14/m⌋ pairs at a time (int64).
+    build full codewords for ⌊2^14/m⌋ pairs at a time (int64).  By linearity
+    E(x) and E(y) agree where E(x XOR y) is 0, so a linear code computes one
+    codeword per pair.
     """
     if code.kind == HADAMARD:
         return np.where((x == y).all(axis=1), np.uint64(code.m),
                         np.uint64(code.m // 2))
     step = max(1, (1 << 14) // code.m)
-    return np.concatenate([
-        _same_bits(code, x[t:t + step], y[t:t + step]).sum(axis=1, dtype=np.int64)
-        for t in range(0, len(x), step)])
-
-
-def _same_bits(code: BinaryCode, x: np.ndarray, y: np.ndarray,
-               idx=None) -> np.ndarray:
-    """Where the codewords of two message-word batches agree, at ``idx``.
-
-    Positions are as in ``_codeword_bits``.  By linearity E(x) and E(y)
-    agree where E(x XOR y) is 0, so a linear code computes one codeword.
-    """
-    if code.is_linear:
-        return _codeword_bits(code, x ^ y, idx) == 0
-    return _codeword_bits(code, x, idx) == _codeword_bits(code, y, idx)
+    counts = []
+    for t in range(0, len(x), step):
+        xs, ys = x[t:t + step], y[t:t + step]
+        same = (_codeword_bits(code, xs ^ ys) == 0 if code.is_linear
+                else _codeword_bits(code, xs) == _codeword_bits(code, ys))
+        counts.append(same.sum(axis=1, dtype=np.int64))
+    return np.concatenate(counts)
 
 
 def agreement_fraction(code: BinaryCode, x: str, y: str) -> Fraction:

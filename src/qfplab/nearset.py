@@ -32,6 +32,15 @@ from .qstate import PureState
 
 # Pairwise audits touch count*(count-1)/2 inner products.
 AUDIT_MAX_COUNT = 1 << 14
+# Coordinates of one set (count*d) or pair block (2*size*d), above the
+# 2*4096*800 of a full block of d = 800 pairs.
+MAX_COORDINATES = 1 << 23
+
+
+def _check_coordinates(what: str, coordinates: int) -> None:
+    if coordinates > MAX_COORDINATES:
+        raise CapabilityError(f"{what} holds {coordinates} coordinates, above "
+                              f"the guard {MAX_COORDINATES}")
 
 
 def required_dimension(n: int, delta: float) -> int:
@@ -217,6 +226,7 @@ def sample_vector_set(
         raise DomainError(f"count must be >= 2, got {count}")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
+    _check_coordinates(f"a set of {count} vectors of dimension {d}", count * d)
     root = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     raw = _pcg64_words(root, count, -(-d // 8))
@@ -307,6 +317,8 @@ def sample_pair_audit(pairs: int, d: int, delta: float, seed) -> OverlapAudit:
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     threshold = _violation_threshold(d, delta)
+    size = min(4096, pairs)
+    _check_coordinates(f"a block of {size} pairs of dimension {d}", 2 * size * d)
     root = np.random.SeedSequence(seed)
     max_num = violations = 0
     chunks = [4096] * (pairs // 4096) + ([pairs % 4096] if pairs % 4096 else [])

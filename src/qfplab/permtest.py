@@ -8,13 +8,12 @@ closed form
     p_eq(k, gamma) = (k!)^2/(2k)! * sum_j C(k,j)^2 gamma^(2j).
 
 At k = 1 it is the swap test's (1 + gamma^2)/2.  This module provides
-that closed form (exact over the rationals; the package's one accept
-formula), the seeded sampler of either test's verdicts, a projection
-oracle that symmetrizes the actual 2k-register product state numerically
-(one register permutation per coset of S_k x S_k, not all (2k)!), the
-matching upper/lower/asymptotic bounds, the two-state discrimination
-optimum, and the worst-case product instance those bounds are tight
-against.
+that closed form (exact over the rationals), the seeded sampler of either
+test's verdicts, a projection oracle that symmetrizes the actual 2k-register
+product state numerically (one register permutation per coset of
+S_k x S_k, not all (2k)!), the matching upper/lower/asymptotic bounds, the
+two-state discrimination optimum, and the worst-case product instance
+those bounds are tight against.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ from .qstate import MAX_STATE_DIM, PureState, tensor, tensor_power
 # Projection guard: C(2k, k) transposes of d^(2k) elements each.  It admits
 # qubits up to k = 7 (about 0.3 s on a 2-core box).
 _MAX_PROJECTION_WORK = 2**26
+# Sampled trials: numpy draws a binomial count as an int64.
+MAX_SAMPLED_TRIALS = 2**63 - 1
 
 
 def _as_fraction(value) -> Fraction | None:
@@ -59,16 +60,19 @@ def p_eq_closed_form(k: int, gamma):
 def sample_rate(p, trials: int, seed) -> float:
     """Frequency of ``trials`` seeded Bernoulli(p) verdicts.
 
-    Draws ``default_rng(seed).random(trials) < p``: the same stream for a
-    swap test's outcome 1 at its analytic rate and for a permutation
-    test's acceptance at its projection rate.
+    Draws the success count as one ``default_rng(seed).binomial(trials, p)``
+    in O(1) time and memory: the same stream for a swap test's outcome 1 at
+    its analytic rate and for a permutation test's acceptance at its
+    projection rate.  p = 0 and p = 1 give exactly 0.0 and 1.0.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_SAMPLED_TRIALS:
+        raise CapabilityError(f"trials = {trials} is above the guard "
+                              f"{MAX_SAMPLED_TRIALS} of a binomial count")
     if not 0 <= p <= 1:
         raise DomainError(f"p must lie in [0,1], got {p}")
-    rng = np.random.default_rng(seed)
-    return int(np.count_nonzero(rng.random(trials) < p)) / trials
+    return int(np.random.default_rng(seed).binomial(trials, p)) / trials
 
 
 def p_eq_projection(phi: PureState, psi: PureState, k: int) -> float:

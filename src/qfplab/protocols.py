@@ -11,11 +11,12 @@ referee, who outputs "equal" or "unequal":
                 informative collision happens with probability 1/m.
 
 A seeded block engine runs trials in blocks, one generator per block: a
-block's inputs, keys and referee coins are arrays, its verdicts one
-vectorised rule per protocol.  Messages stay (B, ceil(n/64)) uint64 words,
-the layout of ``codes._words``, from draw to verdict.  Reports aggregate the
-verdicts with exact theory values alongside.  ``_PROTOCOLS`` names the one
-repetition count and the one ``message_costs`` entry of each protocol.
+block's inputs are arrays, and each verdict is one uniform draw against
+``accept_probability``, the protocol's one accept law, at the pair's exact
+codeword agreement.  Messages stay (B, ceil(n/64)) uint64 words, the layout
+of ``codes._words``, from draw to verdict.  Reports carry the same law at
+the certified agreement bound.  ``_PROTOCOLS`` names the one repetition
+count and the one ``message_costs`` entry of each protocol.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ from .codes import (
     BinaryCode,
     _agreements,
     _check_bits,
-    _same_bits,
     _words,
     agreement_fraction,
     certify_distance,
 )
 from .errors import CapabilityError, ConfigError
-from .permtest import p_eq_closed_form
 from .qstate import qubits_required
 
 # Protocol -> (the repetition count it reads, its key in message_costs).
@@ -47,11 +46,40 @@ _PROTOCOLS = {
 }
 PROTOCOLS = tuple(_PROTOCOLS)
 PAIR_SOURCES = ("random-pairs", "forced-equal", "forced-unequal", "adversarial-list")
+# Guard on k and r: the exact theory bound raises a rational to this power
+# (about 3 s at 2^22 on a 2-core box).
+MAX_REPETITIONS = 1 << 22
+
+
+def _swap_p_one(agree, m):
+    """1 - p_eq(1, a/m) = (m - a)(m + a)/(2m^2), exact for a Fraction ``agree``.
+
+    In float64 every factor and product is exact while m <= 2^26, so each
+    value is the exact rational correctly rounded; hadamard agreements (m/2
+    or m) are exact at every m.
+    """
+    return (m - agree) * (m + agree) / (2 * m * m)
+
+
+def accept_probability(protocol_id: str, agree, m, reps: int | None):
+    """The referee's chance of saying equal on a pair agreeing at a of m bits.
+
+    Quantum: all k swap tests measure 0.  Shared-key: the codewords agree at
+    all r shared positions.  Mixture: the two independent positions collide,
+    with chance 1/m (the failure mode on display), and the bits there agree.
+    Exact for a Fraction ``agree`` and int ``m``; float64 for float64 ones.
+    """
+    if protocol_id == "quantum":
+        return (1 - _swap_p_one(agree, m)) ** reps
+    if protocol_id == "shared-key":
+        return (agree / m) ** reps
+    return agree / (m * m)
 
 
 def quantum_accept_probability(code: BinaryCode, x: str, y: str) -> Fraction:
     """Exact per-repetition accept probability p_eq(1, <h_x|h_y>)."""
-    return p_eq_closed_form(1, agreement_fraction(code, x, y))
+    agree = agreement_fraction(code, x, y) * code.m
+    return accept_probability("quantum", agree, code.m, 1)
 
 
 def message_costs(code: BinaryCode, k: int = 1, r: int = 1) -> dict:
@@ -113,9 +141,8 @@ def _theory_bound(protocol_id: str, code: BinaryCode,
                   reps: int | None) -> float | None:
     if protocol_id == "mixture":
         return None
-    delta = certify_distance(code).max_agreement
-    per_rep = p_eq_closed_form(1, delta) if protocol_id == "quantum" else delta
-    return float(per_rep**reps)
+    agree = certify_distance(code).max_agreement * code.m
+    return float(accept_probability(protocol_id, agree, code.m, reps))
 
 
 def _sample_pairs(rng: np.random.Generator, pair_source: str, n: int, size: int,
@@ -148,48 +175,23 @@ def _sample_pairs(rng: np.random.Generator, pair_source: str, n: int, size: int,
     return x, y
 
 
-def _swap_p_one(agree, m: int):
-    """1 - p_eq(1, a/m) = (m - a)(m + a)/(2m^2) in float64, at agreements a.
-
-    The agreements are converted to float before m + a is formed, since
-    m + a reaches 2^64 at hadamard n = 63.  For m <= 2^26 every factor and
-    product is an exact float, so each value is the exact rational
-    correctly rounded; hadamard agreements (m/2 or m) are exact at every m.
-    """
-    a = np.asarray(agree, dtype=np.float64)
-    m = float(m)
-    return (m - a) * (m + a) / (2 * m * m)
-
-
 def _block_accepts(protocol_id: str, code: BinaryCode, x: np.ndarray,
                    y: np.ndarray, rng: np.random.Generator,
                    reps: int | None) -> np.ndarray:
-    """The referee's verdicts on one block of pairs: True where it says equal."""
-    m, size = code.m, len(x)
-    if protocol_id == "quantum":
-        # Unequal on any of k = reps swap tests measuring 1.
-        p_one = _swap_p_one(_agreements(code, x, y), m)
-        return ~(rng.random((size, reps)) < p_one[:, None]).any(axis=1)
-    if protocol_id == "shared-key":
-        idx = rng.integers(0, m, (size, reps), dtype=np.uint64)
-        return _same_bits(code, x, y, idx).all(axis=1)
-    # Mixture: (i, E_i(x)) against (j, E_j(y)) at independent positions.  The
-    # no-inference referee can only confirm equality on a collision i = j,
-    # an event of probability exactly 1/m: the failure mode on display.  On a
-    # collision E_j(y) is E_i(y), so the bits are compared at i.
-    i = rng.integers(0, m, (size, 1), dtype=np.uint64)
-    j = rng.integers(0, m, (size, 1), dtype=np.uint64)
-    return (_same_bits(code, x, y, i) & (i == j))[:, 0]
+    """The referee's verdicts on one block of pairs: True where it says equal.
+
+    One uniform per trial against the law; agreements become floats before
+    m + a is formed, since it reaches 2^64 at hadamard n = 63.
+    """
+    agree = _agreements(code, x, y).astype(np.float64)
+    law = accept_probability(protocol_id, agree, float(code.m), reps)
+    return rng.random(len(x)) < law
 
 
 # Trials per block; each block draws from its own generator.  At 4096 the
-# (B, r) positions and (B, k) coins take 32 KB per column and the kernel's
-# intermediates at most 128 KB, and a long in-process run of requests peaks
-# about 0.5 MB higher in RSS than at 256 (6000 smp-run requests).
+# kernel's intermediates take at most 128 KB, and 6000 in-process smp-run
+# requests peak about 0.5 MB higher in RSS than at 256.
 BLOCK = 4096
-# Guard on the (B, k) coins or (B, r) positions one block draws: 2^22
-# draws are 32 MB of float64 or uint64.
-MAX_BLOCK_DRAWS = 1 << 22
 
 
 def run_experiment(
@@ -205,15 +207,15 @@ def run_experiment(
     """Run ``trials`` seeded protocol executions and aggregate error rates.
 
     Trials run in blocks of ``BLOCK``; each block gets its own generator
-    derived from (seed, block index) and draws its inputs and coin flips as
-    arrays, so reports are reproducible and blocks could run in any order.
-    The adversarial-list source cycles deterministically through the
-    supplied pairs by trial index; the other sources draw inputs from the
-    block generator.  The shared-key key and the referee's coins are drawn
-    fresh per trial and never reported.  A ``k``, ``r`` or ``pairs`` that the
-    protocol or pair source does not read raises ``ConfigError``; a block
-    of more than ``MAX_BLOCK_DRAWS`` coins or positions, or a code past the
-    certification guard, raises ``CapabilityError``, before any trial runs.
+    derived from (seed, block index) and draws its inputs and one uniform
+    per trial as arrays, so reports are reproducible and blocks could run in
+    any order.  The adversarial-list source cycles deterministically through
+    the supplied pairs by trial index; the other sources draw inputs from
+    the block generator.  No key or coin is drawn: each verdict samples the
+    pair's exact accept law.  A ``k``, ``r`` or ``pairs`` that the protocol
+    or pair source does not read raises ``ConfigError``; a ``k`` or ``r``
+    above ``MAX_REPETITIONS``, or a code past the certification guard,
+    raises ``CapabilityError``, before any trial runs.
     """
     if protocol_id not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol_id!r}; expected {PROTOCOLS}")
@@ -232,13 +234,9 @@ def run_experiment(
     reps = counts.get(reps_name)
     if reps_name and (reps is None or reps < 1):
         raise ConfigError(f"{protocol_id} protocol needs {reps_name} >= 1")
-    block_draws = min(BLOCK, trials) * (reps or 0)
-    if block_draws > MAX_BLOCK_DRAWS:
-        raise CapabilityError(
-            f"{reps_name} (--{reps_name}) = {reps} draws {block_draws} values "
-            f"per block of {min(BLOCK, trials)} trials, above the guard "
-            f"{MAX_BLOCK_DRAWS}"
-        )
+    if (reps or 0) > MAX_REPETITIONS:
+        raise CapabilityError(f"{reps_name} (--{reps_name}) = {reps} is above "
+                              f"the guard {MAX_REPETITIONS}")
     table = None
     if pair_source == "adversarial-list":
         if not pairs:

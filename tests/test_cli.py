@@ -184,7 +184,7 @@ class TestSmpRun:
     @pytest.mark.parametrize("protocol,flag", [
         ("quantum", "--k"), ("shared-key", "--r")])
     def test_huge_repetition_count_exit_3_fast(self, protocol, flag, capsys):
-        # 4096 trials a block times 10^8 draws each: refused, not run
+        # 10^8 repetitions are refused at once, whatever the trial count
         start = time.perf_counter()
         code = main(["smp-run", "--protocol", protocol, "--n", "4",
                      flag, "100000000", "--trials", "5000"])
@@ -336,6 +336,43 @@ def test_negative_seed_exit_2(argv, flag, tmp_path, capsys):
     assert main(argv + ["--out", str(path)]) == EXIT_USAGE
     assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv,guard", [
+    (["codes", "--code", "random-linear", "--n", "8", "--c", "100000000"],
+     "guard 1048576"),
+    (["nearset", "--n", "3", "--delta", "1e-5"], "guard 8388608"),
+    (["nearset", "--n", "3", "--delta", "0.5", "--d", "100000000000"],
+     "guard 8388608"),
+    (["nearset", "--pair-mode", "--delta", "0.5", "--d", "100000000000",
+      "--pairs", "5"], "guard 8388608"),
+    (["perm-test", "--k", "2", "--gamma", "0.5", "--trials", str(2**63)],
+     "guard 9223372036854775807"),
+    (["swap-test", "--n", "4", "--x", "0101", "--y", "0110",
+      "--trials", str(2**63)], "guard 9223372036854775807"),
+], ids=["random-linear-generator", "nearset-set-delta", "nearset-set-d",
+        "nearset-pair-block", "perm-test-trials", "swap-test-trials"])
+def test_oversized_input_exit_3_fast(argv, guard, capsys):
+    # refused before anything of that size is sampled or allocated
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CAPABILITY
+    assert guard in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,key,p", [
+    (["perm-test", "--k", "2", "--gamma", "0.5"], "p_equal", 0.34375),
+    (["swap-test", "--n", "4", "--x", "0101", "--y", "0110"], "p_one", 0.375),
+], ids=["perm-test", "swap-test"])
+def test_huge_sampled_trial_count_runs_fast(argv, key, p, tmp_path):
+    # 10^14 verdicts are one binomial count, not 10^14 floats
+    trials = 10**14
+    start = time.perf_counter()
+    report = run_json(tmp_path, argv + ["--trials", str(trials)])
+    assert time.perf_counter() - start < 1.0
+    sampled = report["results"]["sampled"][key]
+    assert abs(sampled - p) <= 5 * math.sqrt(p * (1 - p) / trials)
 
 
 def test_module_runs_as_a_script():

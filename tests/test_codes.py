@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -23,6 +24,7 @@ from qfplab import (
     random_linear_code,
 )
 from qfplab.codes import (
+    GENERATOR_MAX_ENTRIES,
     _agreements,
     _codeword_bits,
     _packed_words,
@@ -382,6 +384,15 @@ class TestConstruction:
     def test_random_linear_requires_c_at_least_two(self):
         with pytest.raises(DomainError):
             random_linear_code(4, 1, seed=0)
+
+    def test_random_linear_generator_guard(self):
+        # c * n^2 entries: admitted at exactly GENERATOR_MAX_ENTRIES, refused
+        # one past it
+        code = random_linear_code(1, GENERATOR_MAX_ENTRIES, seed=0)
+        assert code.generator.shape == (GENERATOR_MAX_ENTRIES, 1)
+        with pytest.raises(CapabilityError, match=re.escape(
+                f"c*n^2 = {GENERATOR_MAX_ENTRIES + 1} entries is above the guard")):
+            random_linear_code(1, GENERATOR_MAX_ENTRIES + 1, seed=0)
 
     def test_random_linear_deterministic(self):
         a = random_linear_code(6, 3, seed=12)

@@ -4,12 +4,16 @@ Each case runs ``qfplab`` in-process, writes its report with ``--out`` and
 compares the sha256 of the report bytes against ``golden_digests.json``.
 A mismatch means the same configuration no longer produces the same report:
 either a regression, or a deliberate RNG-stream or format change.  In the
-latter case re-record the digests with ``python tests/test_golden.py`` and
-say in the change log why the stream moved.
+latter case re-record the moved cases by name with
+``python tests/test_golden.py NAME...`` (from the repo root, with src on
+PYTHONPATH) and say in the change log why the stream moved.  Only the named
+cases are re-recorded, and each one whose digest moved is printed as
+old -> new, so a stream change cannot silently move an unnamed digest.
 """
 
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -85,10 +89,22 @@ def test_report_digest(name, tmp_path):
     assert report_digest(CASES[name], tmp_path) == expected
 
 
-if __name__ == "__main__":
-    # Re-record the fixture from the current code (run from the repo root
-    # with src on PYTHONPATH).
+def rerecord(names: list[str]) -> None:
+    """Re-record the named cases' digests, printing each that moved."""
+    unknown = sorted(set(names) - set(CASES))
+    if not names or unknown:
+        sys.exit("usage: python tests/test_golden.py NAME...\n"
+                 + "".join(f"unknown case: {name}\n" for name in unknown)
+                 + f"cases: {', '.join(sorted(CASES))}")
+    digests = json.loads(DIGESTS.read_text())
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: report_digest(argv, Path(tmp))
-                   for name, argv in sorted(CASES.items())}
-    DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
+        for name in names:
+            new = report_digest(CASES[name], Path(tmp))
+            if digests.get(name) != new:
+                print(f"{name}: {digests.get(name)} -> {new}")
+            digests[name] = new
+    DIGESTS.write_text(json.dumps(dict(sorted(digests.items())), indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    rerecord(sys.argv[1:])

@@ -26,7 +26,13 @@ from qfplab import (
 from qfplab import protocols
 from qfplab.cli import _canonical_json
 from qfplab.codes import _weight_distribution
-from qfplab.protocols import BLOCK, MAX_BLOCK_DRAWS, _sample_pairs, _swap_p_one
+from qfplab.protocols import (
+    BLOCK,
+    MAX_REPETITIONS,
+    _sample_pairs,
+    _swap_p_one,
+    accept_probability,
+)
 
 
 def all_messages(n):
@@ -56,23 +62,21 @@ class TestQuantumSmp:
 
     @pytest.mark.parametrize("m", [12, 256])
     def test_engine_float_is_exact_formula_rounded(self, m):
-        # the engine's one float formula is pinned to the exact closed form
-        agree = np.arange(m + 1, dtype=np.int64)
+        # the engine's per-repetition float is pinned to the exact closed form
+        agree = np.arange(m + 1, dtype=np.float64)
         expected = [float(1 - p_eq_closed_form(1, Fraction(a, m)))
                     for a in range(m + 1)]
-        assert _swap_p_one(agree, m).tolist() == expected
+        assert _swap_p_one(agree, float(m)).tolist() == expected
 
     @pytest.mark.parametrize("m", [2**40, 2**63])
     def test_engine_float_exact_past_the_fingerprint_guard(self, m):
         # hadamard agreements m/2 and m, and agreements a whose m - a and
         # m + a are exact floats, so only the product rounds
-        agree = [0, 1, m // 4, m // 2 - 2**30, m // 2, m // 2 + 2**30, m]
-        if m < 2**53:
-            rng = np.random.default_rng(40)
-            agree += [int(a) for a in rng.integers(0, m + 1, 200)]
+        agree = pinned_agreements(m)
         expected = [float(1 - p_eq_closed_form(1, Fraction(a, m)))
                     for a in agree]
-        got = _swap_p_one(np.array(agree, dtype=np.uint64), m).tolist()
+        # each agreement here is an exact float, as the engine converts them
+        got = _swap_p_one(np.array(agree, dtype=np.float64), float(m)).tolist()
         assert got == expected
 
     def test_accept_probability_exact_rational(self):
@@ -257,22 +261,26 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("protocol_id,name", [
         ("quantum", "k"), ("shared-key", "r")])
-    def test_block_draw_guard(self, monkeypatch, protocol_id, name):
-        # a block of min(BLOCK, trials) trials draws that many values per
-        # unit of the count; the guard admits exactly MAX_BLOCK_DRAWS
+    def test_repetition_guard(self, monkeypatch, protocol_id, name):
+        # the guard admits exactly MAX_REPETITIONS at any trial count.  The
+        # exact bound raises a rational to that power, which takes seconds,
+        # so it is stubbed; the trials run for real
         code = hadamard_code(4)
-        rep = run_experiment(protocol_id, code, 2, "random-pairs", seed=0,
-                             **{name: MAX_BLOCK_DRAWS // 2})
-        assert rep.params == {name: MAX_BLOCK_DRAWS // 2}
+        monkeypatch.setattr(protocols, "_theory_bound", lambda *args: 0.0)
+        for trials in (2, 10**6):
+            rep = run_experiment(protocol_id, code, trials, "random-pairs",
+                                 seed=0, **{name: MAX_REPETITIONS})
+            assert rep.params == {name: MAX_REPETITIONS}
+            assert rep.trials_equal + rep.trials_unequal == trials
 
         def no_trials(*args):
             raise AssertionError("a trial block ran before the guard")
 
         monkeypatch.setattr(protocols, "_block_accepts", no_trials)
+        count = MAX_REPETITIONS + 1
         for trials in (2, 10**6):
-            count = MAX_BLOCK_DRAWS // min(BLOCK, trials) + 1
             with pytest.raises(CapabilityError, match=re.escape(
-                    f"{name} (--{name}) = {count}")):
+                    f"{name} (--{name}) = {count} is above the guard 4194304")):
                 run_experiment(protocol_id, code, trials, "random-pairs",
                                seed=0, **{name: count})
 
@@ -367,9 +375,11 @@ class TestMessageWords:
     def test_stream_follows_the_documented_draw_order(self):
         # README "smp-run streams", rebuilt with Python ints: block b draws
         # from default_rng(SeedSequence((seed, b))) the x words, the y words,
-        # the forced-unequal redraws and then the key positions
+        # the forced-unequal redraws and then one uniform per trial, which
+        # says equal below (a/m)^r, with the agreement a counted by parity
+        # at every position
         n, r, trials, seed = 6, 4, 5000, 5
-        mask = np.uint64(2**n - 1)
+        m, mask = 2**n, np.uint64(2**n - 1)
         wrong = 0
         for block, t0 in enumerate(range(0, trials, 4096)):
             size = min(4096, trials - t0)
@@ -381,10 +391,11 @@ class TestMessageWords:
             x, y = draw(size), draw(size)
             while (same := x == y).any():
                 y[same] = draw(int(same.sum()))
-            keys = rng.integers(0, 2**n, (size, r), dtype=np.uint64)
-            for xv, yv, row in zip(x.tolist(), y.tolist(), keys.tolist()):
-                wrong += all(bin(i & xv).count("1") % 2 == bin(i & yv).count("1") % 2
-                             for i in row)
+            uniforms = rng.random(size)
+            for xv, yv, u in zip(x.tolist(), y.tolist(), uniforms.tolist()):
+                agree = sum(bin(i & xv).count("1") % 2 == bin(i & yv).count("1") % 2
+                            for i in range(m))
+                wrong += u < (agree / m) ** r
         rep = run_experiment("shared-key", hadamard_code(n), trials,
                              "forced-unequal", seed=seed, r=r)
         assert BLOCK == 4096
@@ -417,6 +428,17 @@ def pair_error(protocol_id, gamma, m):
     return gamma / m
 
 
+def pinned_agreements(m):
+    """Every agreement for small m; else hadamard's, ones whose m - a and
+    m + a are exact floats, and below 2^53 a seeded sample."""
+    if m <= 2**12:
+        return list(range(m + 1))
+    agree = [0, 1, m // 4, m // 2 - 2**30, m // 2, m // 2 + 2**30, m]
+    if m < 2**53:
+        agree += [int(a) for a in np.random.default_rng(40).integers(0, m + 1, 200)]
+    return agree
+
+
 def z_score(rate, exact, count):
     return (rate - float(exact)) / math.sqrt(float(exact * (1 - exact)) / count)
 
@@ -428,6 +450,22 @@ EXACT_CODES = {"hadamard8": hadamard_code(8),
 class TestExactExpectedError:
     # under both sources x XOR y is uniform over the nonzero messages, so a
     # linear code's weight w follows A_w/(2^n - 1) and the overlap is 1 - w/m
+
+    @pytest.mark.parametrize("m", [12, 256, 2**40, 2**63])
+    @pytest.mark.parametrize("protocol_id", list(protocols.PROTOCOLS))
+    def test_engine_law_is_the_exact_law(self, protocol_id, m):
+        # the engine's one law: exact at Fraction agreements, and within a few
+        # ulps in float64, where only the per-repetition swap float is pinned
+        # to the correctly rounded value
+        agree = pinned_agreements(m)
+        count = {"quantum": K, "shared-key": R}.get(protocol_id)
+        exact = [pair_error(protocol_id, Fraction(a, m), m) for a in agree]
+        assert [accept_probability(protocol_id, Fraction(a), m, count)
+                for a in agree] == exact
+        got = accept_probability(protocol_id, np.array(agree, dtype=np.float64),
+                                 float(m), count)
+        assert got.tolist() == pytest.approx([float(e) for e in exact],
+                                             rel=2**-49, abs=0)
 
     @pytest.mark.parametrize("pair_source", ["forced-unequal", "random-pairs"])
     @pytest.mark.parametrize("protocol_id", list(protocols.PROTOCOLS))

@@ -222,8 +222,15 @@ class TestSample:
         assert sample_rate(p, trials=5000, seed=11) == \
             sample_rate(p, trials=5000, seed=11)
 
+    @pytest.mark.parametrize("trials", [1, 10**14, 2**63 - 1])
+    def test_certain_rates_are_exact_at_any_count(self, trials):
+        assert sample_rate(0.0, trials=trials, seed=5) == 0.0
+        assert sample_rate(1.0, trials=trials, seed=5) == 1.0
+
     def test_trials_validated(self):
         p = analytic_p_one(*fingerprint_pair())
+        with pytest.raises(CapabilityError, match="guard 9223372036854775807"):
+            sample_rate(p, trials=2**63, seed=1)
         with pytest.raises(DomainError):
             sample_rate(p, trials=0, seed=1)
         with pytest.raises(DomainError):
