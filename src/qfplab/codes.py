@@ -280,37 +280,27 @@ def _declared_word(code: BinaryCode, words: np.ndarray) -> np.ndarray:
     return _bit_row(_check_bits(word, code.m, f"declared codeword of x={x!r}"))
 
 
-def _codeword_bits(code: BinaryCode, x, idx=None) -> np.ndarray:
-    """Codeword bits at 0-based positions ``idx`` (all m when None), uint8.
+def _codeword_bits(code: BinaryCode, x) -> np.ndarray:
+    """All m codeword bits of each message, uint8.
 
-    ``x`` is one bit-string, with ``idx`` of shape (r,), or a (B, ceil(n/64))
-    uint64 batch of message words laid out as ``_words`` lays out one
-    message, with ``idx`` of shape (B, r).  The only place a codeword bit is
-    computed.  For linear codes bit i is the parity of popcount(row_i & x),
-    where row_i is generator row i, packed once per code (for hadamard,
-    row_i is i itself), so no full codeword is built when only some
-    positions are asked for; messages go through ⌊2^14/(r·words)⌋ at a
-    time, so that the (B, r, words) intermediates stay within 2^14 words.
-    Declared encoders run per message, on its bit-string.
+    ``x`` is one bit-string, or a (B, ceil(n/64)) uint64 batch of message
+    words laid out as ``_words`` lays out one message.  For linear codes bit
+    i is the parity of popcount(row_i & x), where row_i is generator row i,
+    packed once per code (for hadamard, row_i is i itself); messages go
+    through ⌊2^14/(m·words)⌋ at a time, so that the (B, m, words)
+    intermediates stay within 2^14 words.  Declared encoders run per
+    message, on its bit-string.
     """
     if isinstance(x, str):
-        batch_idx = None if idx is None else np.asarray(idx)[None]
-        return _codeword_bits(code, _words(x)[None], batch_idx)[0]
+        return _codeword_bits(code, _words(x)[None])[0]
     if not code.is_linear:
-        words = np.stack([_declared_word(code, row) for row in x])
-        return words if idx is None else np.take_along_axis(words, idx, axis=1)
-    width = code.m if idx is None else idx.shape[1]
-    step = max(1, (1 << 14) // (width * x.shape[1]))
+        return np.stack([_declared_word(code, row) for row in x])
+    step = max(1, (1 << 14) // (code.m * x.shape[1]))
     if len(x) > step:
-        return np.concatenate([
-            _codeword_bits(code, x[t:t + step],
-                           idx if idx is None else idx[t:t + step])
-            for t in range(0, len(x), step)])
-    if code.kind == HADAMARD:
-        pos = np.arange(code.m) if idx is None else idx
-        rows = np.asarray(pos, dtype=np.uint64)[..., None]
-    else:
-        rows = code._rows if idx is None else code._rows[idx]
+        return np.concatenate([_codeword_bits(code, x[t:t + step])
+                               for t in range(0, len(x), step)])
+    rows = (np.arange(code.m, dtype=np.uint64)[:, None] if code.kind == HADAMARD
+            else code._rows)
     counts = np.bitwise_count(rows & x[:, None, :])
     return np.bitwise_xor.reduce(counts, axis=-1) & 1
 
@@ -330,7 +320,10 @@ def bit_at(code: BinaryCode, x: str, i: int) -> int:
     _check_bits(x, code.n, "x")
     if not 1 <= i <= code.m:
         raise InputShapeError(f"index i must lie in 1..{code.m}, got {i}")
-    return int(_codeword_bits(code, x, [i - 1])[0])
+    if not code.is_linear:
+        return int(_codeword_bits(code, x)[i - 1])
+    row = np.uint64(i - 1) if code.kind == HADAMARD else code._rows[i - 1]
+    return int(np.bitwise_count(row & _words(x)).sum()) & 1
 
 
 def _agreements(code: BinaryCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:

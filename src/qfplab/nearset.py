@@ -35,12 +35,17 @@ AUDIT_MAX_COUNT = 1 << 14
 # Coordinates of one set (count*d) or pair block (2*size*d), above the
 # 2*4096*800 of a full block of d = 800 pairs.
 MAX_COORDINATES = 1 << 23
+# Coordinates of a whole pair-mode run (2*pairs*d), above the 1.6*10^8 of
+# 100000 pairs at d = 800; a run at the bound takes at most about 2 s (at
+# d = 1) on a 2-core box.
+MAX_PAIR_COORDINATES = 1 << 28
 
 
-def _check_coordinates(what: str, coordinates: int) -> None:
-    if coordinates > MAX_COORDINATES:
+def _check_coordinates(what: str, coordinates: int,
+                       limit: int = MAX_COORDINATES) -> None:
+    if coordinates > limit:
         raise CapabilityError(f"{what} holds {coordinates} coordinates, above "
-                              f"the guard {MAX_COORDINATES}")
+                              f"the guard {limit}")
 
 
 def required_dimension(n: int, delta: float) -> int:
@@ -310,7 +315,8 @@ def sample_pair_audit(pairs: int, d: int, delta: float, seed) -> OverlapAudit:
 
     For counts where a full 2^n set is infeasible, the concentration claim
     is still checkable pair by pair: each trial draws a fresh (v, w) and
-    tests |<v,w>| > delta.
+    tests |<v,w>| > delta.  Both a block's and the whole run's coordinates
+    are bounded before any draw.
     """
     if pairs < 1:
         raise DomainError(f"pairs must be >= 1, got {pairs}")
@@ -319,6 +325,8 @@ def sample_pair_audit(pairs: int, d: int, delta: float, seed) -> OverlapAudit:
     threshold = _violation_threshold(d, delta)
     size = min(4096, pairs)
     _check_coordinates(f"a block of {size} pairs of dimension {d}", 2 * size * d)
+    _check_coordinates(f"a run of {pairs} pairs of dimension {d}", 2 * pairs * d,
+                       MAX_PAIR_COORDINATES)
     root = np.random.SeedSequence(seed)
     max_num = violations = 0
     chunks = [4096] * (pairs // 4096) + ([pairs % 4096] if pairs % 4096 else [])

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import sqrt
+from math import log2, sqrt
 
 import numpy as np
 
@@ -47,8 +47,13 @@ _PROTOCOLS = {
 PROTOCOLS = tuple(_PROTOCOLS)
 PAIR_SOURCES = ("random-pairs", "forced-equal", "forced-unequal", "adversarial-list")
 # Guard on k and r: the exact theory bound raises a rational to this power
-# (about 3 s at 2^22 on a 2-core box).
+# unless the result is sure to round to 0.0 (about 3 s at 2^22 on a 2-core
+# box).
 MAX_REPETITIONS = 1 << 22
+# A power p^reps with reps*log2(p) below this is 0.0 as a float, since any
+# value below 2^-1075 rounds to 0.0; 25 bits of margin dwarf the rounding
+# error of reps*log2(p).
+_UNDERFLOW_LOG2 = -1100
 
 
 def _swap_p_one(agree, m):
@@ -139,10 +144,17 @@ class ExperimentReport:
 
 def _theory_bound(protocol_id: str, code: BinaryCode,
                   reps: int | None) -> float | None:
+    """The accept law at the certified agreement bound, as a float.
+
+    The exact rational power is skipped when it is sure to round to 0.0.
+    """
     if protocol_id == "mixture":
         return None
     agree = certify_distance(code).max_agreement * code.m
-    return float(accept_probability(protocol_id, agree, code.m, reps))
+    p = accept_probability(protocol_id, agree, code.m, 1)
+    if 0 < p < 1 and reps * log2(p) < _UNDERFLOW_LOG2:
+        return 0.0
+    return float(p**reps)
 
 
 def _sample_pairs(rng: np.random.Generator, pair_source: str, n: int, size: int,

@@ -192,6 +192,14 @@ class TestSmpRun:
         assert code == EXIT_CAPABILITY
         assert "guard 4194304" in capsys.readouterr().err
 
+    def test_largest_repetition_count_is_fast(self, tmp_path):
+        # (5/8)^k underflows, so the exact power is never taken
+        start = time.perf_counter()
+        report = run_json(tmp_path, ["smp-run", "--protocol", "quantum",
+                                     "--n", "4", "--k", "4194304", "--trials", "1"])
+        assert time.perf_counter() - start < 0.5
+        assert report["results"]["theory_error_bound"] == 0.0
+
     def test_bad_pair_names_its_index_and_flag(self, capsys):
         code = main(["smp-run", "--protocol", "mixture", "--n", "4",
                      "--trials", "10", "--pair-source", "adversarial-list",
@@ -346,12 +354,15 @@ def test_negative_seed_exit_2(argv, flag, tmp_path, capsys):
      "guard 8388608"),
     (["nearset", "--pair-mode", "--delta", "0.5", "--d", "100000000000",
       "--pairs", "5"], "guard 8388608"),
+    (["nearset", "--pair-mode", "--delta", "0.5", "--d", "8",
+      "--pairs", "100000000000"], "guard 268435456"),
     (["perm-test", "--k", "2", "--gamma", "0.5", "--trials", str(2**63)],
      "guard 9223372036854775807"),
     (["swap-test", "--n", "4", "--x", "0101", "--y", "0110",
       "--trials", str(2**63)], "guard 9223372036854775807"),
 ], ids=["random-linear-generator", "nearset-set-delta", "nearset-set-d",
-        "nearset-pair-block", "perm-test-trials", "swap-test-trials"])
+        "nearset-pair-block", "nearset-pair-run", "perm-test-trials",
+        "swap-test-trials"])
 def test_oversized_input_exit_3_fast(argv, guard, capsys):
     # refused before anything of that size is sampled or allocated
     start = time.perf_counter()

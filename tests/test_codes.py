@@ -117,6 +117,13 @@ class TestBitAt:
         word = encode(code, "1011")
         assert bit_at(code, "1011", i) == int(word[i - 1])
 
+    def test_two_word_rows_match_the_oracle(self):
+        code = random_linear_code(70, 2, seed=1)
+        x = "".join(map(str, np.random.default_rng(5).integers(0, 2, 70)))
+        expected = reference_codeword(code, x)
+        assert [bit_at(code, x, i) for i in range(1, code.m + 1)] == \
+            expected.tolist()
+
     def test_hadamard_single_bit_overlap(self):
         # i - 1 = 128 and x = 10000000 share exactly one set bit
         assert bit_at(hadamard_code(8), "10000000", 129) == 1
@@ -145,34 +152,25 @@ class TestBatchKernel:
     def test_rows_match_single_message_kernel(self, code):
         rng = np.random.default_rng(3)
         batch = rng.integers(0, 2, (5, code.n), dtype=np.uint8)
-        idx = rng.integers(0, code.m, (5, 7))
         # the kernel takes messages as words: row x packs to int(x, 2)
-        words = _packed_words(batch)
-        full = _codeword_bits(code, words)
-        picked = _codeword_bits(code, words, idx)
-        assert full.shape == (5, code.m) and picked.shape == (5, 7)
-        for row, positions, bits, bits_at in zip(batch, idx, full, picked):
+        full = _codeword_bits(code, _packed_words(batch))
+        assert full.shape == (5, code.m)
+        for row, bits in zip(batch, full):
             x = "".join(str(b) for b in row)
             assert np.array_equal(bits, _codeword_bits(code, x))
             assert np.array_equal(bits, reference_codeword(code, x))
-            assert np.array_equal(bits_at, _codeword_bits(code, x, positions))
 
     @pytest.mark.parametrize("code", [
         pytest.param(code, id=name or "random-linear4")
         for name, code in BIT_KERNEL_CODES.items() if code.is_linear
     ] + [pytest.param(random_linear_code(70, 2, seed=1), id="random-linear70")])
     def test_batches_past_one_chunk_match_the_oracle(self, code):
-        # 2000 messages span several of the kernel's 2^14-word chunks, both
-        # for all m positions and for 11 positions per message
+        # 2000 messages span several of the kernel's 2^14-word chunks
         rng = np.random.default_rng(4)
         batch = rng.integers(0, 2, (2000, code.n), dtype=np.uint8)
-        idx = rng.integers(0, code.m, (2000, 11))
         expected = np.array([reference_codeword(code, "".join(map(str, row)))
                              for row in batch])
-        words = _packed_words(batch)
-        assert np.array_equal(_codeword_bits(code, words), expected)
-        assert np.array_equal(_codeword_bits(code, words, idx),
-                              np.take_along_axis(expected, idx, axis=1))
+        assert np.array_equal(_codeword_bits(code, _packed_words(batch)), expected)
 
 
 class TestCertifyDistance:

@@ -20,7 +20,12 @@ from qfplab import (
     sample_vector_set,
     swap_test_analytic,
 )
-from qfplab.nearset import VectorSet, _pair_numerators, _pcg64_words
+from qfplab.nearset import (
+    MAX_PAIR_COORDINATES,
+    VectorSet,
+    _pair_numerators,
+    _pcg64_words,
+)
 
 
 class TestRequiredDimension:
@@ -195,6 +200,13 @@ class TestPairAudit:
         rate = audit.violating_pairs / audit.total_pairs
         slack = 3 * math.sqrt(bound * (1 - bound) / audit.total_pairs)
         assert rate <= bound + slack
+
+    def test_run_guard_admits_exactly_its_bound(self):
+        # 2^17 pairs of dimension 1024 draw exactly 2^28 coordinates
+        pairs = MAX_PAIR_COORDINATES // 2048
+        assert sample_pair_audit(pairs, 1024, 0.2, seed=9).total_pairs == pairs
+        with pytest.raises(CapabilityError, match="guard 268435456"):
+            sample_pair_audit(pairs + 1, 1024, 0.2, seed=9)
 
     def test_deterministic(self):
         a = sample_pair_audit(5000, 100, 0.2, seed=8)

@@ -262,11 +262,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("protocol_id,name", [
         ("quantum", "k"), ("shared-key", "r")])
     def test_repetition_guard(self, monkeypatch, protocol_id, name):
-        # the guard admits exactly MAX_REPETITIONS at any trial count.  The
-        # exact bound raises a rational to that power, which takes seconds,
-        # so it is stubbed; the trials run for real
+        # the guard admits exactly MAX_REPETITIONS at any trial count
         code = hadamard_code(4)
-        monkeypatch.setattr(protocols, "_theory_bound", lambda *args: 0.0)
         for trials in (2, 10**6):
             rep = run_experiment(protocol_id, code, trials, "random-pairs",
                                  seed=0, **{name: MAX_REPETITIONS})
@@ -509,3 +506,47 @@ class TestExactExpectedError:
         exact = 1 - Fraction(1, code.m)
         assert abs(z_score(rep.empirical_error_equal, exact,
                            rep.trials_equal)) <= 5
+
+
+def exact_float_power(p, reps):
+    """float(p ** reps) for 0 <= p <= 1, the power taken exactly.
+
+    Past 2^14 reps, a power at 2^14 that already rounds to 0.0 stands in
+    for it: higher powers are no larger, and rounding is monotone.
+    """
+    if reps > 1 << 14 and float(p ** (1 << 14)) == 0.0:
+        return 0.0
+    return float(p**reps)
+
+
+THEORY_CODES = {
+    "hadamard2": lambda: hadamard_code(2),
+    "hadamard4": lambda: hadamard_code(4),
+    "hadamard5": lambda: hadamard_code(5),
+    "hadamard6": lambda: hadamard_code(6),
+    "hadamard8": lambda: hadamard_code(8),
+    "random-linear4": lambda: random_linear_code(4, 3, seed=19),
+    "random-linear12": lambda: random_linear_code(12, 3, seed=0),
+    "declared1": lambda: declared_code(1, 1, encoder=lambda x: x,
+                                       delta=Fraction(0)),
+    "declared-near-one": lambda: declared_code(4, 16, encoder=lambda x: x * 4,
+                                               delta=Fraction(15, 16)),
+}
+
+
+class TestTheoryBound:
+    @pytest.mark.parametrize("protocol_id", ["quantum", "shared-key"])
+    @pytest.mark.parametrize("factory", THEORY_CODES.values(), ids=THEORY_CODES)
+    def test_equals_the_float_of_the_exact_power(self, protocol_id, factory):
+        code = factory()
+        agree = certify_distance(code).max_agreement * code.m
+        p = accept_probability(protocol_id, agree, code.m, 1)
+        reps = [1, 7, 13, 999] + [1 << e for e in range(10, 23)]
+        if 0 < p < 1:
+            # the last subnormal power, and the skip's cut-off
+            for log2_floor in (-1074, -1100):
+                edge = math.floor(log2_floor / math.log2(p))
+                reps += range(edge - 2, edge + 3)
+        for r in reps:
+            assert protocols._theory_bound(protocol_id, code, r) == \
+                exact_float_power(p, r), r

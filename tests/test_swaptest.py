@@ -87,6 +87,38 @@ def dense_gates(phi, psi):
     return np.stack([(branch + exchanged) * s, (branch - exchanged) * s])
 
 
+def real_state(dim, seed):
+    """A normalized state with real amplitudes of both signs."""
+    amps = np.random.default_rng(seed).standard_normal(dim)
+    return PureState(amps / np.linalg.norm(amps), (dim,))
+
+
+def hadamard_pair(n):
+    code = hadamard_code(n)
+    x, y = ("01" * n)[:n], "1" + "0" * (n - 1)
+    return make_fingerprint(code, x).state, make_fingerprint(code, y).state
+
+
+# fingerprint pairs, then real states in one block (3), a full block and a
+# short last one (129), six blocks (300) and sixteen full ones (1024)
+REAL_PAIRS = [pytest.param(*hadamard_pair(n), id=f"hadamard-n{n}")
+              for n in range(1, 8)] + [
+    pytest.param(real_state(dim, seed=(dim, 1)), real_state(dim, seed=(dim, 2)),
+                 id=f"real-dim{dim}") for dim in (3, 129, 300, 1024)]
+
+
+def blocked_p_one(joint):
+    """p(1) of a (2, D, D) state, summed over the circuit's row blocks."""
+    d = joint.shape[1]
+    height = max(1, qfplab.swaptest._BLOCK // d)
+    return min(0.5, sum(float(np.sum(np.square(np.abs(joint[1, r:r + height]))))
+                        for r in range(0, d, height)))
+
+
+def evolved_dtype(phi, psi):
+    return next(qfplab.swaptest._evolved_blocks(phi, psi))[1].dtype
+
+
 def traced_peak(call):
     """Peak bytes allocated through Python's allocators during ``call()``."""
     tracemalloc.start()
@@ -147,8 +179,9 @@ class TestCircuit:
 
     def test_perturbed_state_fails_the_closed_form_check(self, monkeypatch):
         perturb_amplitude(monkeypatch, (1, 0, 1), lambda z: z + 1e-9)
-        with pytest.raises(ArithmeticError):
-            swap_test_circuit(random_state(4, seed=23), random_state(4, seed=24))
+        for make in (random_state, real_state):  # complex and float64 paths
+            with pytest.raises(ArithmeticError):
+                swap_test_circuit(make(4, seed=23), make(4, seed=24))
 
     @pytest.mark.parametrize("index,change", [
         ((1, 299, 7), lambda z: z + 1e-9),
@@ -157,15 +190,20 @@ class TestCircuit:
     def test_last_row_block_is_checked(self, monkeypatch, index, change):
         # at dim 300 row 299 lies in the last of six row blocks
         perturb_amplitude(monkeypatch, index, change)
-        with pytest.raises(ArithmeticError):
-            swap_test_circuit(random_state(300, seed=25),
-                              random_state(300, seed=26))
+        for make in (random_state, real_state):  # complex and float64 paths
+            with pytest.raises(ArithmeticError):
+                swap_test_circuit(make(300, seed=25), make(300, seed=26))
 
     def test_circuit_never_holds_the_joint_state(self):
         phi = random_state(1024, seed=29)
         psi = random_state(1024, seed=30)
         # the (2, D, D) complex128 state alone would take 32 MiB
         assert traced_peak(lambda: swap_test_circuit(phi, psi)) < 4 * 2**20
+
+    def test_real_circuit_never_holds_the_joint_state(self):
+        phi, psi = real_state(1024, seed=29), real_state(1024, seed=30)
+        assert evolved_dtype(phi, psi) == np.float64
+        assert traced_peak(lambda: swap_test_circuit(phi, psi)) < 2 * 2**20
 
     @pytest.mark.parametrize("oracle", [swap_test_circuit,
                                         swap_test_circuit_state])
@@ -196,6 +234,36 @@ class TestCircuit:
         psi = random_state(6, seed=52)
         assert swap_test_circuit(phi, psi).p_one > 1e-6
         assert swap_test_circuit(phi, phi).p_one <= 1e-12
+
+
+class TestRealCircuit:
+    """Inputs without imaginary parts are evolved in float64, bit-identically."""
+
+    @pytest.mark.parametrize("phi,psi", REAL_PAIRS)
+    def test_state_equals_dense_gates_bit_for_bit(self, phi, psi):
+        assert evolved_dtype(phi, psi) == np.float64
+        joint = swap_test_circuit_state(phi, psi)
+        assert joint.dtype == np.complex128
+        assert np.array_equal(joint, dense_gates(phi, psi))
+
+    @pytest.mark.parametrize("phi,psi", REAL_PAIRS)
+    def test_p_one_equals_the_complex_evolution_bit_for_bit(self, phi, psi):
+        # dense_gates evolves the complex128 amplitudes
+        assert swap_test_circuit(phi, psi).p_one.hex() == \
+            blocked_p_one(dense_gates(phi, psi)).hex()
+
+    def test_complex_amplitude_takes_the_complex_path(self):
+        phi, psi = hadamard_pair(3)
+        amps = phi.amplitudes.copy()
+        amps[np.flatnonzero(amps)[0]] *= 1j
+        phi = PureState(amps, phi.shape)
+        assert evolved_dtype(phi, psi) == np.complex128
+        assert np.array_equal(swap_test_circuit_state(phi, psi),
+                              dense_gates(phi, psi))
+        assert swap_test_circuit(phi, psi).p_one.hex() == \
+            blocked_p_one(dense_gates(phi, psi)).hex()
+        assert abs(swap_test_circuit(phi, psi).p_one
+                   - swap_test_analytic(phi, psi).p_one) <= 1e-10
 
 
 def analytic_p_one(phi, psi):
