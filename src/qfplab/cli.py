@@ -52,6 +52,9 @@ EXIT_CAPABILITY = 3
 # Defaults of flags that some modes do not read; another value there exits 2.
 # --seed and --code-seed share theirs.
 _DEFAULT_C, _DEFAULT_SEED, _DEFAULT_PAIRS = 3, 0, 100000
+# Work guard on set mode's audited sets: each costs at least about 0.2 ms on
+# a 2-core box, so the seeds loop takes no more than about 0.3 s of overhead.
+MAX_SEEDS = 1 << 10
 
 
 def _canonical_json(obj) -> str:
@@ -230,6 +233,9 @@ def cmd_nearset(args: argparse.Namespace) -> int:
             raise QfpError("set mode requires --n")
         if args.seeds < 1:
             raise QfpError(f"--seeds must be >= 1, got {args.seeds}")
+        if args.seeds > MAX_SEEDS:
+            raise CapabilityError(f"--seeds = {args.seeds} is above the guard "
+                                  f"MAX_SEEDS = {MAX_SEEDS}")
         if args.gram_size < 0 or args.gram_size == 1:
             raise QfpError(f"--gram-size must be 0 or >= 2, got {args.gram_size}")
         d = args.d if args.d is not None else required_dimension(args.n, args.delta)

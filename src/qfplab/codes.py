@@ -44,6 +44,9 @@ _TABLE_WORDS = 2**14
 GENERATOR_MAX_ENTRIES = 2**20
 # Hadamard positions are codeword rows of one 64-bit word each.
 HADAMARD_MAX_N = 63
+# Codeword bits (messages * m) that one ``_codeword_bits`` call may build: as
+# many as the 2^22 amplitudes of the state guard, so hadamard n <= 22.
+CODEWORD_MAX_BITS = 2**22
 _HEX_ROW = re.compile(r"[0-9a-fA-F]+")
 
 
@@ -113,8 +116,9 @@ class BinaryCode:
                     f"got m={self.m}, n={self.n}"
                 )
         elif self.kind == DECLARED:
-            if self.encoder is None and self.generator is None:
-                raise DomainError("declared codes require an encoder or generator")
+            if (self.encoder is None) == (self.generator is None):
+                raise DomainError("declared codes take exactly one codeword "
+                                  "source: an encoder or a generator")
         else:
             raise DomainError(f"unknown code kind {self.kind!r}")
         if self.generator is not None:
@@ -281,24 +285,24 @@ def _declared_word(code: BinaryCode, words: np.ndarray) -> np.ndarray:
 
 
 def _codeword_bits(code: BinaryCode, x) -> np.ndarray:
-    """All m codeword bits of each message, uint8.
+    """All m codeword bits of each message, uint8: the one codeword builder.
 
     ``x`` is one bit-string, or a (B, ceil(n/64)) uint64 batch of message
     words laid out as ``_words`` lays out one message.  For linear codes bit
     i is the parity of popcount(row_i & x), where row_i is generator row i,
-    packed once per code (for hadamard, row_i is i itself); messages go
-    through ⌊2^14/(m·words)⌋ at a time, so that the (B, m, words)
-    intermediates stay within 2^14 words.  Declared encoders run per
-    message, on its bit-string.
+    packed once per code (for hadamard, row_i is i itself), in one pass with
+    no chunking.  Declared encoders run per message, on its bit-string.
+    More than ``CODEWORD_MAX_BITS`` bits in all raise before any is built.
     """
     if isinstance(x, str):
         return _codeword_bits(code, _words(x)[None])[0]
+    if len(x) * code.m > CODEWORD_MAX_BITS:
+        raise CapabilityError(
+            f"{len(x)} x {code.m} codeword bits are above the guard "
+            f"CODEWORD_MAX_BITS = {CODEWORD_MAX_BITS}"
+        )
     if not code.is_linear:
         return np.stack([_declared_word(code, row) for row in x])
-    step = max(1, (1 << 14) // (code.m * x.shape[1]))
-    if len(x) > step:
-        return np.concatenate([_codeword_bits(code, x[t:t + step])
-                               for t in range(0, len(x), step)])
     rows = (np.arange(code.m, dtype=np.uint64)[:, None] if code.kind == HADAMARD
             else code._rows)
     counts = np.bitwise_count(rows & x[:, None, :])
@@ -314,16 +318,15 @@ def encode(code: BinaryCode, x: str) -> str:
 def bit_at(code: BinaryCode, x: str, i: int) -> int:
     """The i-th codeword bit, 1-based.
 
-    For hadamard and linear codes only position i is computed, so the
-    m-bit codeword is never materialized.
+    A hadamard bit is parity((i - 1) & x) in closed form, with no 2^n-bit
+    codeword (so n = 63 works); other codes read ``_codeword_bits``.
     """
     _check_bits(x, code.n, "x")
     if not 1 <= i <= code.m:
         raise InputShapeError(f"index i must lie in 1..{code.m}, got {i}")
-    if not code.is_linear:
-        return int(_codeword_bits(code, x)[i - 1])
-    row = np.uint64(i - 1) if code.kind == HADAMARD else code._rows[i - 1]
-    return int(np.bitwise_count(row & _words(x)).sum()) & 1
+    if code.kind == HADAMARD:
+        return ((i - 1) & int(x, 2)).bit_count() & 1
+    return int(_codeword_bits(code, x)[i - 1])
 
 
 def _agreements(code: BinaryCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -331,14 +334,14 @@ def _agreements(code: BinaryCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Hadamard codewords of distinct messages agree on exactly m/2 positions,
     so no codeword is built (uint64, since m = 2^63 at n = 63).  Other codes
-    build full codewords for ⌊2^14/m⌋ pairs at a time (int64).  By linearity
-    E(x) and E(y) agree where E(x XOR y) is 0, so a linear code computes one
-    codeword per pair.
+    build codewords for ⌊2^14/(m·words)⌋ pairs at a time (int64), within
+    2^14 words of (B, m, words) intermediates.  By linearity E(x) and E(y)
+    agree where E(x XOR y) is 0, so a linear code builds one per pair.
     """
     if code.kind == HADAMARD:
         return np.where((x == y).all(axis=1), np.uint64(code.m),
                         np.uint64(code.m // 2))
-    step = max(1, (1 << 14) // code.m)
+    step = max(1, (1 << 14) // (code.m * x.shape[1]))
     counts = []
     for t in range(0, len(x), step):
         xs, ys = x[t:t + step], y[t:t + step]
@@ -376,27 +379,31 @@ class DistanceCertificate:
         }
 
 
+def _span(columns: np.ndarray) -> np.ndarray:
+    """Word-major (words, 2^k) table of the XORs of k packed columns.
+
+    Built by doubling: entry s XORs the columns whose bits are set in s.
+    """
+    table = np.zeros((columns.shape[1], 1 << len(columns)), dtype=np.uint64)
+    for b, column in enumerate(columns):
+        table[:, 1 << b:2 << b] = table[:, :1 << b] ^ column[:, None]
+    return table
+
+
 def _weight_distribution(code: BinaryCode) -> np.ndarray:
     """A_w, the number of codewords of weight w, for w = 0..m (int64).
 
-    The codewords of the low message bits are tabulated by doubling, as many
-    bits as keep the table within ``_TABLE_WORDS`` packed words; the high
-    bits are walked in Gray order, each step XORing one generator column
-    into the whole table.
+    ``_span`` tabulates the codewords of the low message bits, as many as keep
+    the table within ``_TABLE_WORDS`` packed words, and of the high bits; each
+    high-bit codeword is XORed into the whole low table, in any order.
     """
     n, m = code.n, code.m
     # the generator columns are the codewords of the n unit messages
-    columns = _packed_words(code.generator.T)[..., None]
+    columns = _packed_words(code.generator.T)
     low = min(n, max(0, (_TABLE_WORDS // columns.shape[1]).bit_length() - 1))
-    # word-major, so that a codeword's weight sums contiguous rows
-    table = np.zeros((columns.shape[1], 1 << low), dtype=np.uint64)
-    for b in range(low):
-        table[:, 1 << b:2 << b] = table[:, :1 << b] ^ columns[b]
+    table = _span(columns[:low])
     counts = np.zeros(m + 1, dtype=np.int64)
-    offset = np.zeros_like(columns[0])
-    for g in range(1 << (n - low)):
-        if g:
-            offset ^= columns[low + (g & -g).bit_length() - 1]
+    for offset in _span(columns[low:]).T[..., None]:
         weights = np.bitwise_count(table ^ offset).sum(axis=0, dtype=np.intp)
         counts += np.bincount(weights, minlength=m + 1)
     return counts

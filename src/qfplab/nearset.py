@@ -20,6 +20,7 @@ coordinate i, and of the second half w's.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import ceil, comb, exp, floor, log2
@@ -59,7 +60,11 @@ def required_dimension(n: int, delta: float) -> int:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0,1), got {delta}")
-    return ceil(4.0 * n / (delta * delta * log2(_E)))
+    try:
+        return ceil(4.0 * n / (delta * delta * log2(_E)))
+    except (ZeroDivisionError, OverflowError):  # delta^2 underflows, d overflows
+        raise CapabilityError(f"the dimension for n={n} at delta={delta} is above "
+                              f"the largest float, {sys.float_info.max}") from None
 
 
 def chernoff_pair_bound(d: int, delta: float) -> float:

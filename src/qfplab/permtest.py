@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb, cos, factorial, pi, sqrt
+from math import comb, cos, factorial, inf, pi, sqrt
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from .qstate import MAX_STATE_DIM, PureState, tensor, tensor_power
 _MAX_PROJECTION_WORK = 2**26
 # Sampled trials: numpy draws a binomial count as an int64.
 MAX_SAMPLED_TRIALS = 2**63 - 1
+# Float closed form: every C(k, j)^2 converts to a float up to k = 516.
+FLOAT_CLOSED_FORM_MAX_K = 516
 
 
 def _as_fraction(value) -> Fraction | None:
@@ -42,18 +44,31 @@ def _as_fraction(value) -> Fraction | None:
 
 
 def p_eq_closed_form(k: int, gamma):
-    """Accept probability at overlap magnitude gamma; exact for rational gamma."""
+    """Accept probability at overlap magnitude gamma; exact for rational gamma.
+
+    A float gamma takes a float sum, for k up to ``FLOAT_CLOSED_FORM_MAX_K``;
+    where that sum passes the float range (gamma near 1 at k = 515, 516),
+    each term is scaled by the prefactor before it is summed.
+    """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     if not 0 <= gamma <= 1:
         raise DomainError(f"gamma must lie in [0,1], got {gamma}")
-    prefactor = Fraction(factorial(k) ** 2, factorial(2 * k))
     g = _as_fraction(gamma)
+    if g is None and k > FLOAT_CLOSED_FORM_MAX_K:
+        raise CapabilityError(
+            f"the float closed form at k = {k} is above the guard "
+            f"FLOAT_CLOSED_FORM_MAX_K = {FLOAT_CLOSED_FORM_MAX_K}, past which "
+            f"C(k, k/2)^2 is out of the float range"
+        )
+    prefactor = Fraction(factorial(k) ** 2, factorial(2 * k))
     if g is not None:
         g2 = g * g
         return prefactor * sum(comb(k, j) ** 2 * g2**j for j in range(k + 1))
     g2 = float(gamma) ** 2
     total = sum(comb(k, j) ** 2 * g2**j for j in range(k + 1))
+    if total == inf:
+        return sum(float(prefactor * comb(k, j) ** 2) * g2**j for j in range(k + 1))
     return float(prefactor * Fraction(total))
 
 

@@ -50,6 +50,10 @@ PAIR_SOURCES = ("random-pairs", "forced-equal", "forced-unequal", "adversarial-l
 # unless the result is sure to round to 0.0 (about 3 s at 2^22 on a 2-core
 # box).
 MAX_REPETITIONS = 1 << 22
+# Work guard on trials, checked before any runs: a run at the bound takes
+# about 1 s for hadamard codes and 5 s for random-linear n = 20 on a 2-core
+# box (the largest count in use is 10^6).
+MAX_TRIALS = 1 << 24
 # A power p^reps with reps*log2(p) below this is 0.0 as a float, since any
 # value below 2^-1075 rounds to 0.0; 25 bits of margin dwarf the rounding
 # error of reps*log2(p).
@@ -225,9 +229,10 @@ def run_experiment(
     the supplied pairs by trial index; the other sources draw inputs from
     the block generator.  No key or coin is drawn: each verdict samples the
     pair's exact accept law.  A ``k``, ``r`` or ``pairs`` that the protocol
-    or pair source does not read raises ``ConfigError``; a ``k`` or ``r``
-    above ``MAX_REPETITIONS``, or a code past the certification guard,
-    raises ``CapabilityError``, before any trial runs.
+    or pair source does not read raises ``ConfigError``; ``trials`` above
+    ``MAX_TRIALS``, a ``k`` or ``r`` above ``MAX_REPETITIONS``, or a code past
+    the certification guard raises ``CapabilityError``, before any trial
+    runs.
     """
     if protocol_id not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol_id!r}; expected {PROTOCOLS}")
@@ -237,6 +242,9 @@ def run_experiment(
         )
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise CapabilityError(f"trials (--trials) = {trials} is above the guard "
+                              f"MAX_TRIALS = {MAX_TRIALS}")
     reps_name, cost_key = _PROTOCOLS[protocol_id]
     counts = {"k": k, "r": r}
     for owner, (name, _) in _PROTOCOLS.items():

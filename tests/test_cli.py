@@ -328,6 +328,20 @@ def test_flag_the_mode_ignores_exit_2(argv, flag, tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["smp-run", "--protocol", "mixture", "--n", "4", "--trials", "10",
+      "--pair-source", "adversarial-list", "--pair", "0101"],
+     "--pair expects X:Y bit-strings, got '0101'"),
+    (["nearset", "--pair-mode", "--delta", "0.3"], "--pair-mode requires --d"),
+    (["nearset", "--delta", "0.3"], "set mode requires --n"),
+], ids=["smp-pair-without-colon", "pair-mode-without-d", "set-mode-without-n"])
+def test_missing_or_malformed_flag_exit_2(argv, message, tmp_path, capsys):
+    path = tmp_path / "report"
+    assert main(argv + ["--out", str(path)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["smp-run", "--protocol", "quantum", "--n", "3", "--k", "1",
       "--trials", "10", "--seed", "-1"], "--seed"),
@@ -360,9 +374,23 @@ def test_negative_seed_exit_2(argv, flag, tmp_path, capsys):
      "guard 9223372036854775807"),
     (["swap-test", "--n", "4", "--x", "0101", "--y", "0110",
       "--trials", str(2**63)], "guard 9223372036854775807"),
+    (["perm-test", "--k", "517", "--gamma", "0.5"],
+     "guard FLOAT_CLOSED_FORM_MAX_K = 516"),
+    (["perm-test", "--k", "1000000", "--gamma", "0.5"],
+     "guard FLOAT_CLOSED_FORM_MAX_K = 516"),
+    (["nearset", "--n", "3", "--delta", "1e-300"], "above the largest float"),
+    (["nearset", "--n", "3", "--delta", "1e-160"], "above the largest float"),
+    (["nearset", "--n", "3", "--delta", "0.5", "--seeds", "100000"],
+     "guard MAX_SEEDS = 1024"),
+    (["nearset", "--n", "3", "--delta", "0.5", "--count", "16385"],
+     "guard 16384"),
+    (["smp-run", "--protocol", "mixture", "--n", "4",
+      "--trials", "100000000000"], "guard MAX_TRIALS = 16777216"),
 ], ids=["random-linear-generator", "nearset-set-delta", "nearset-set-d",
         "nearset-pair-block", "nearset-pair-run", "perm-test-trials",
-        "swap-test-trials"])
+        "swap-test-trials", "perm-test-float-k", "perm-test-huge-k",
+        "nearset-delta-underflow", "nearset-dimension-overflow",
+        "nearset-seeds", "nearset-set-count", "smp-run-trials"])
 def test_oversized_input_exit_3_fast(argv, guard, capsys):
     # refused before anything of that size is sampled or allocated
     start = time.perf_counter()

@@ -24,6 +24,7 @@ from qfplab import (
     random_linear_code,
 )
 from qfplab.codes import (
+    CODEWORD_MAX_BITS,
     GENERATOR_MAX_ENTRIES,
     _agreements,
     _codeword_bits,
@@ -165,12 +166,36 @@ class TestBatchKernel:
         for name, code in BIT_KERNEL_CODES.items() if code.is_linear
     ] + [pytest.param(random_linear_code(70, 2, seed=1), id="random-linear70")])
     def test_batches_past_one_chunk_match_the_oracle(self, code):
-        # 2000 messages span several of the kernel's 2^14-word chunks
+        # 2000 pairs span several of _agreements' 2^14-word chunks; the
+        # builder itself takes all 2000 messages in one pass
         rng = np.random.default_rng(4)
-        batch = rng.integers(0, 2, (2000, code.n), dtype=np.uint8)
-        expected = np.array([reference_codeword(code, "".join(map(str, row)))
-                             for row in batch])
-        assert np.array_equal(_codeword_bits(code, _packed_words(batch)), expected)
+        x, y = rng.integers(0, 2, (2, 2000, code.n), dtype=np.uint8)
+        ex, ey = (np.array([reference_codeword(code, "".join(map(str, row)))
+                            for row in batch]) for batch in (x, y))
+        assert np.array_equal(_codeword_bits(code, _packed_words(x)), ex)
+        agree = _agreements(code, _packed_words(x), _packed_words(y))
+        assert agree.tolist() == (ex == ey).sum(axis=1).tolist()
+
+
+# Every generator code reads its codewords from the one builder: bit_at,
+# _codeword_bits and the definition agree, and agreements are symmetric and
+# linear.  n up to 70 packs messages into two words.
+@settings(max_examples=30)
+@given(n=st.integers(1, 70), c=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+@example(n=70, c=2, seed=0)
+def test_one_builder_on_random_generators(n, c, seed):
+    code = random_linear_code(n, c, seed)
+    rng = np.random.default_rng(seed)
+    x, y = rng.integers(0, 2, (2, 4, n), dtype=np.uint8)
+    msg = "".join(map(str, x[0]))
+    bits = _codeword_bits(code, msg)
+    assert [bit_at(code, msg, i) for i in range(1, code.m + 1)] == bits.tolist()
+    assert bits.tolist() == reference_codeword(code, msg).tolist()
+    agree = _agreements(code, _packed_words(x), _packed_words(y))
+    assert agree.tolist() == _agreements(code, _packed_words(y),
+                                         _packed_words(x)).tolist()
+    weights = [reference_codeword(code, "".join(map(str, z))).sum() for z in x ^ y]
+    assert agree.tolist() == [code.m - w for w in weights]
 
 
 class TestCertifyDistance:
@@ -378,6 +403,33 @@ class TestConstruction:
         code = hadamard_code(63)
         # position 2^63 - 1 shares all 63 set bits with the all-ones message
         assert bit_at(code, "1" * 63, code.m) == 1
+
+    @pytest.mark.parametrize("n", [40, 63])
+    def test_hadamard_codeword_past_the_bit_guard_fails_fast(self, n):
+        # a 2^n-bit codeword is refused before any of it is allocated; bit_at
+        # and agreement_fraction stay in closed form
+        code = hadamard_code(n)
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match=re.escape(
+                f"1 x {2**n} codeword bits are above the guard "
+                f"CODEWORD_MAX_BITS = {CODEWORD_MAX_BITS}")):
+            encode(code, "1" * n)
+        assert time.perf_counter() - start < 1.0
+        assert bit_at(code, "1" * n, code.m) == n % 2
+        assert agreement_fraction(code, "1" * n, "0" * n) == Fraction(1, 2)
+
+    def test_codeword_bit_guard_admits_the_largest_fingerprint(self):
+        # make_fingerprint builds codewords of up to 2^20 bits
+        assert CODEWORD_MAX_BITS >= 2**20
+        assert len(encode(hadamard_code(22), "1" * 22)) == CODEWORD_MAX_BITS
+
+    def test_declared_code_takes_one_codeword_source(self):
+        # a generator and an encoder together would leave one of them unread
+        with pytest.raises(DomainError, match="exactly one codeword source"):
+            declared_code(2, 3, encoder=lambda x: "111",
+                          generator=np.array([[1, 0], [0, 1], [1, 1]]))
+        with pytest.raises(DomainError, match="exactly one codeword source"):
+            declared_code(2, 3, delta=Fraction(1, 2))
 
     def test_random_linear_requires_c_at_least_two(self):
         with pytest.raises(DomainError):

@@ -47,6 +47,12 @@ class TestRequiredDimension:
         with pytest.raises(DomainError):
             required_dimension(0, 0.5)
 
+    @pytest.mark.parametrize("delta", [1e-160, 1e-300, 5e-324])
+    def test_dimension_past_the_float_range_is_a_capability_error(self, delta):
+        # delta^2 underflows (1e-300) or the quotient overflows (1e-160)
+        with pytest.raises(CapabilityError, match="above the largest float"):
+            required_dimension(3, delta)
+
     @pytest.mark.parametrize("n", [2, 8, 32, 64])
     @pytest.mark.parametrize("delta", [0.1, 0.25, 0.5, 0.9])
     def test_existence_condition_holds(self, n, delta):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import time
 from fractions import Fraction
 from functools import reduce
 
@@ -26,6 +28,7 @@ from qfplab import (
     sample_rate,
     swap_test_analytic,
 )
+from qfplab.permtest import FLOAT_CLOSED_FORM_MAX_K
 
 GAMMA_GRID = [0.0, 0.25, 0.5, 0.75, 0.9]
 DELTA_GRID = [Fraction(j, 10) for j in range(10)]
@@ -65,6 +68,24 @@ class TestClosedForm:
                 exact = p_eq_closed_form(k, Fraction(g).limit_denominator(4))
                 approx = p_eq_closed_form(k, float(Fraction(g).limit_denominator(4)))
                 assert approx == pytest.approx(float(exact), abs=1e-14)
+
+    @pytest.mark.parametrize("k", [515, 516])
+    @pytest.mark.parametrize("gamma", [0.5, 0.9999, 1.0])
+    def test_float_route_up_to_its_guard(self, k, gamma):
+        # at gamma near 1 the plain float sum passes the float range at
+        # k = 515, 516, and the terms are scaled before they are summed
+        exact = float(p_eq_closed_form(k, Fraction(gamma)))
+        assert p_eq_closed_form(k, gamma) == pytest.approx(exact, rel=1e-12)
+
+    def test_float_route_guard_precedes_the_factorials(self):
+        start = time.perf_counter()
+        for k in (FLOAT_CLOSED_FORM_MAX_K + 1, 10**9):
+            with pytest.raises(CapabilityError, match=re.escape(
+                    f"k = {k} is above the guard FLOAT_CLOSED_FORM_MAX_K = 516")):
+                p_eq_closed_form(k, 0.5)
+        assert time.perf_counter() - start < 1.0
+        # the exact route has no guard on k
+        assert p_eq_closed_form(FLOAT_CLOSED_FORM_MAX_K + 1, Fraction(1)) == 1
 
     def test_monotone_in_gamma(self):
         for k in (1, 2, 5, 10):

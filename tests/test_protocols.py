@@ -29,6 +29,7 @@ from qfplab.codes import _weight_distribution
 from qfplab.protocols import (
     BLOCK,
     MAX_REPETITIONS,
+    MAX_TRIALS,
     _sample_pairs,
     _swap_p_one,
     accept_probability,
@@ -280,6 +281,18 @@ class TestRunExperiment:
                     f"{name} (--{name}) = {count} is above the guard 4194304")):
                 run_experiment(protocol_id, code, trials, "random-pairs",
                                seed=0, **{name: count})
+
+    def test_trial_guard_fires_before_any_trial(self, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial block ran before the guard")
+
+        monkeypatch.setattr(protocols, "_block_accepts", no_trials)
+        with pytest.raises(CapabilityError, match=re.escape(
+                f"trials (--trials) = {MAX_TRIALS + 1} is above the guard "
+                f"MAX_TRIALS = {MAX_TRIALS}")):
+            run_experiment("mixture", hadamard_code(4), MAX_TRIALS + 1,
+                           "random-pairs", seed=0)
+        assert MAX_TRIALS >= 10**6  # the largest count in use
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigError):
