@@ -24,8 +24,8 @@ from .codes import (
     random_linear_code,
 )
 from .errors import CapabilityError, QfpError
+from .guards import check
 from .nearset import (
-    AUDIT_MAX_COUNT,
     audit_overlaps,
     gram_dominance_check,
     required_dimension,
@@ -52,9 +52,6 @@ EXIT_CAPABILITY = 3
 # Defaults of flags that some modes do not read; another value there exits 2.
 # --seed and --code-seed share theirs.
 _DEFAULT_C, _DEFAULT_SEED, _DEFAULT_PAIRS = 3, 0, 100000
-# Work guard on set mode's audited sets: each costs at least about 0.2 ms on
-# a 2-core box, so the seeds loop takes no more than about 0.3 s of overhead.
-MAX_SEEDS = 1 << 10
 
 
 def _canonical_json(obj) -> str:
@@ -233,18 +230,14 @@ def cmd_nearset(args: argparse.Namespace) -> int:
             raise QfpError("set mode requires --n")
         if args.seeds < 1:
             raise QfpError(f"--seeds must be >= 1, got {args.seeds}")
-        if args.seeds > MAX_SEEDS:
-            raise CapabilityError(f"--seeds = {args.seeds} is above the guard "
-                                  f"MAX_SEEDS = {MAX_SEEDS}")
+        check("MAX_SEEDS", args.seeds, "--seeds")
         if args.gram_size < 0 or args.gram_size == 1:
             raise QfpError(f"--gram-size must be 0 or >= 2, got {args.gram_size}")
         d = args.d if args.d is not None else required_dimension(args.n, args.delta)
-        count = args.count if args.count is not None else 2**args.n
-        if count > AUDIT_MAX_COUNT:
-            raise CapabilityError(
-                f"set mode audits all pairs of {count} vectors, above the "
-                f"guard {AUDIT_MAX_COUNT}; use --pair-mode instead"
-            )
+        # n is capped before 2^n is formed
+        count = args.count if args.count is not None else 2 ** min(args.n, 64)
+        check("AUDIT_MAX_COUNT", count, f"set mode's vector count (--count, or "
+              f"2^n at --n {args.n})")
         root = np.random.SeedSequence(args.seed)
         audits = []
         for child in root.spawn(args.seeds):
@@ -259,8 +252,8 @@ def cmd_nearset(args: argparse.Namespace) -> int:
         }
         if args.gram_size:
             vset = sample_vector_set(args.gram_size, d, root.spawn(1)[0])
-            check = gram_dominance_check(vset.vectors(), args.delta)
-            results["gram"] = {"dominant": check.dominant, "rank": check.rank}
+            gram = gram_dominance_check(vset.vectors(), args.delta)
+            results["gram"] = {"dominant": gram.dominant, "rank": gram.rank}
     _emit(_wrap("nearset", args, results), args)
     return EXIT_OK
 

@@ -28,26 +28,17 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, InputShapeError
+from .errors import DomainError, InputShapeError
+from .guards import check
 
 HADAMARD = "hadamard"
 RANDOM_LINEAR = "random-linear"
 DECLARED = "declared"
 
-# Most 64-bit word operations an exact certificate may take: 2^n * ceil(m/64)
-# for the weight enumerator (random-linear n = 24, c = 3 takes about 0.1 s on
-# a 2-core box), C(2^n, 2) * ceil(m/64) for the pairwise comparison.
-CERTIFY_MAX_WORDS = 2**25
 # Packed words (128 KB) in the enumerator's table of low-bit codewords.
 _TABLE_WORDS = 2**14
-# Entries c*n^2 of a sampled random-linear generator (1 MB of uint8).
-GENERATOR_MAX_ENTRIES = 2**20
-# Hadamard positions are codeword rows of one 64-bit word each.
-HADAMARD_MAX_N = 63
-# Codeword bits (messages * m) that one ``_codeword_bits`` call may build: as
-# many as the 2^22 amplitudes of the state guard, so hadamard n <= 22.
-CODEWORD_MAX_BITS = 2**22
 _HEX_ROW = re.compile(r"[0-9a-fA-F]+")
+_HADAMARD_N = "hadamard n (positions are 64-bit words)"
 
 
 class _NotInjective(DomainError):
@@ -98,11 +89,7 @@ class BinaryCode:
         if self.n < 1:
             raise DomainError(f"message length must be >= 1, got {self.n}")
         if self.kind == HADAMARD:
-            if self.n > HADAMARD_MAX_N:
-                raise CapabilityError(
-                    f"hadamard positions must fit a 64-bit integer; guard is "
-                    f"n <= {HADAMARD_MAX_N}, got n={self.n}"
-                )
+            check("HADAMARD_MAX_N", self.n, _HADAMARD_N)
             if self.m != 2**self.n:
                 raise DomainError(
                     f"hadamard codes have m = 2^n; got m={self.m}, n={self.n}"
@@ -200,7 +187,11 @@ def code_from_json(desc: dict) -> BinaryCode:
 
 
 def hadamard_code(n: int) -> BinaryCode:
-    """The [2^n, n] code with codeword bits <i, x> over GF(2)."""
+    """The [2^n, n] code with codeword bits <i, x> over GF(2).
+
+    n is checked before 2^n is formed.
+    """
+    check("HADAMARD_MAX_N", n, _HADAMARD_N)
     return BinaryCode(kind=HADAMARD, n=n, m=2**n)
 
 
@@ -213,9 +204,7 @@ def random_linear_code(n: int, c: int, seed: int) -> BinaryCode:
     """
     if c < 2:
         raise DomainError(f"rate multiple c must be >= 2, got c={c}")
-    if c * n * n > GENERATOR_MAX_ENTRIES:
-        raise CapabilityError(f"a random-linear generator of c*n^2 = {c * n * n} "
-                              f"entries is above the guard {GENERATOR_MAX_ENTRIES}")
+    check("GENERATOR_MAX_ENTRIES", c * n * n, "random-linear generator entries c*n^2")
     rng = np.random.default_rng(seed)
     while True:
         g = rng.integers(0, 2, size=(c * n, n), dtype=np.uint8)
@@ -292,15 +281,11 @@ def _codeword_bits(code: BinaryCode, x) -> np.ndarray:
     i is the parity of popcount(row_i & x), where row_i is generator row i,
     packed once per code (for hadamard, row_i is i itself), in one pass with
     no chunking.  Declared encoders run per message, on its bit-string.
-    More than ``CODEWORD_MAX_BITS`` bits in all raise before any is built.
+    More than ``guards.CODEWORD_MAX_BITS`` bits in all raise before any is built.
     """
     if isinstance(x, str):
         return _codeword_bits(code, _words(x)[None])[0]
-    if len(x) * code.m > CODEWORD_MAX_BITS:
-        raise CapabilityError(
-            f"{len(x)} x {code.m} codeword bits are above the guard "
-            f"CODEWORD_MAX_BITS = {CODEWORD_MAX_BITS}"
-        )
+    check("CODEWORD_MAX_BITS", len(x) * code.m, "codeword bits, messages x m")
     if not code.is_linear:
         return np.stack([_declared_word(code, row) for row in x])
     rows = (np.arange(code.m, dtype=np.uint64)[:, None] if code.kind == HADAMARD
@@ -434,16 +419,11 @@ def certify_distance(code: BinaryCode) -> DistanceCertificate:
     elif code.kind == HADAMARD:
         dist, method = code.m // 2, "closed-form"
     else:
-        count = 1 << code.n
+        count = 1 << min(code.n, 64)  # n is capped before 2^n is formed
         if not code.is_linear:
             count = count * (count - 1) // 2  # codeword pairs
-        work = count * -(-code.m // 64)
-        if work > CERTIFY_MAX_WORDS:
-            raise CapabilityError(
-                f"exact certification of this n={code.n}, m={code.m} code takes "
-                f"{work} word operations; guard is {CERTIFY_MAX_WORDS}.  "
-                f"Construct the code with a declared delta bound instead."
-            )
+        check("CERTIFY_MAX_WORDS", count * -(-code.m // 64),
+              "word operations to certify the code (or declare a delta bound)")
         if code.is_linear:
             weights = _weight_distribution(code)
             dist = int(np.flatnonzero(weights[1:])[0]) + 1

@@ -29,24 +29,8 @@ from math import e as _E
 import numpy as np
 
 from .errors import CapabilityError, DomainError, InputShapeError
+from .guards import check
 from .qstate import PureState
-
-# Pairwise audits touch count*(count-1)/2 inner products.
-AUDIT_MAX_COUNT = 1 << 14
-# Coordinates of one set (count*d) or pair block (2*size*d), above the
-# 2*4096*800 of a full block of d = 800 pairs.
-MAX_COORDINATES = 1 << 23
-# Coordinates of a whole pair-mode run (2*pairs*d), above the 1.6*10^8 of
-# 100000 pairs at d = 800; a run at the bound takes at most about 2 s (at
-# d = 1) on a 2-core box.
-MAX_PAIR_COORDINATES = 1 << 28
-
-
-def _check_coordinates(what: str, coordinates: int,
-                       limit: int = MAX_COORDINATES) -> None:
-    if coordinates > limit:
-        raise CapabilityError(f"{what} holds {coordinates} coordinates, above "
-                              f"the guard {limit}")
 
 
 def required_dimension(n: int, delta: float) -> int:
@@ -236,7 +220,7 @@ def sample_vector_set(
         raise DomainError(f"count must be >= 2, got {count}")
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    _check_coordinates(f"a set of {count} vectors of dimension {d}", count * d)
+    check("MAX_COORDINATES", count * d, "the coordinates count * d of a set")
     root = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     raw = _pcg64_words(root, count, -(-d // 8))
@@ -279,11 +263,7 @@ def audit_overlaps(vset: VectorSet, delta: float) -> OverlapAudit:
     every pair i < j is counted once; a zero never reaches the violation
     threshold, which is at least 1.
     """
-    if vset.count > AUDIT_MAX_COUNT:
-        raise CapabilityError(
-            f"pairwise audit of {vset.count} vectors exceeds the guard "
-            f"{AUDIT_MAX_COUNT}"
-        )
+    check("AUDIT_MAX_COUNT", vset.count, "the vectors of a pairwise audit")
     signs = vset.signs.astype(np.float32 if vset.d <= 1 << 24 else np.float64)
     threshold = _violation_threshold(vset.d, delta)
     max_num = violations = 0
@@ -329,9 +309,10 @@ def sample_pair_audit(pairs: int, d: int, delta: float, seed) -> OverlapAudit:
         raise DomainError(f"dimension must be >= 1, got {d}")
     threshold = _violation_threshold(d, delta)
     size = min(4096, pairs)
-    _check_coordinates(f"a block of {size} pairs of dimension {d}", 2 * size * d)
-    _check_coordinates(f"a run of {pairs} pairs of dimension {d}", 2 * pairs * d,
-                       MAX_PAIR_COORDINATES)
+    check("MAX_COORDINATES", 2 * size * d,
+          "the coordinates 2 * min(4096, pairs) * d of a pair block")
+    check("MAX_PAIR_COORDINATES", 2 * pairs * d,
+          "the coordinates 2 * pairs * d of a pair-mode run")
     root = np.random.SeedSequence(seed)
     max_num = violations = 0
     chunks = [4096] * (pairs // 4096) + ([pairs % 4096] if pairs % 4096 else [])

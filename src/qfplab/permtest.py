@@ -25,16 +25,9 @@ from math import comb, cos, factorial, inf, pi, sqrt
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, InputShapeError
-from .qstate import MAX_STATE_DIM, PureState, tensor, tensor_power
-
-# Projection guard: C(2k, k) transposes of d^(2k) elements each.  It admits
-# qubits up to k = 7 (about 0.3 s on a 2-core box).
-_MAX_PROJECTION_WORK = 2**26
-# Sampled trials: numpy draws a binomial count as an int64.
-MAX_SAMPLED_TRIALS = 2**63 - 1
-# Float closed form: every C(k, j)^2 converts to a float up to k = 516.
-FLOAT_CLOSED_FORM_MAX_K = 516
+from .errors import DomainError, InputShapeError
+from .guards import check
+from .qstate import PureState, tensor, tensor_power
 
 
 def _as_fraction(value) -> Fraction | None:
@@ -46,7 +39,7 @@ def _as_fraction(value) -> Fraction | None:
 def p_eq_closed_form(k: int, gamma):
     """Accept probability at overlap magnitude gamma; exact for rational gamma.
 
-    A float gamma takes a float sum, for k up to ``FLOAT_CLOSED_FORM_MAX_K``;
+    A float gamma takes a float sum, for k up to ``guards.FLOAT_CLOSED_FORM_MAX_K``;
     where that sum passes the float range (gamma near 1 at k = 515, 516),
     each term is scaled by the prefactor before it is summed.
     """
@@ -55,12 +48,8 @@ def p_eq_closed_form(k: int, gamma):
     if not 0 <= gamma <= 1:
         raise DomainError(f"gamma must lie in [0,1], got {gamma}")
     g = _as_fraction(gamma)
-    if g is None and k > FLOAT_CLOSED_FORM_MAX_K:
-        raise CapabilityError(
-            f"the float closed form at k = {k} is above the guard "
-            f"FLOAT_CLOSED_FORM_MAX_K = {FLOAT_CLOSED_FORM_MAX_K}, past which "
-            f"C(k, k/2)^2 is out of the float range"
-        )
+    if g is None:
+        check("FLOAT_CLOSED_FORM_MAX_K", k, "the float closed form's k")
     prefactor = Fraction(factorial(k) ** 2, factorial(2 * k))
     if g is not None:
         g2 = g * g
@@ -82,9 +71,7 @@ def sample_rate(p, trials: int, seed) -> float:
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    if trials > MAX_SAMPLED_TRIALS:
-        raise CapabilityError(f"trials = {trials} is above the guard "
-                              f"{MAX_SAMPLED_TRIALS} of a binomial count")
+    check("MAX_SAMPLED_TRIALS", trials, "sampled trials")
     if not 0 <= p <= 1:
         raise DomainError(f"p must lie in [0,1], got {p}")
     return int(np.random.default_rng(seed).binomial(trials, p)) / trials
@@ -105,15 +92,14 @@ def p_eq_projection(phi: PureState, psi: PureState, k: int) -> float:
         raise InputShapeError(f"shape mismatch: {phi.shape} vs {psi.shape}")
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    d = phi.dim
+    # k is capped before d^(2k) or C(2k, k) is formed
+    d, capped = phi.dim, min(k, 64)
+    size = d ** (2 * capped)
+    check("MAX_STATE_DIM", size, "the projection's dimension d^(2k)")
+    check("MAX_PROJECTION_WORK", comb(2 * capped, capped) * size,
+          "the projection's transposed elements C(2k, k) d^(2k)")
     n_regs = 2 * k
     n_cosets = comb(n_regs, k)
-    if d**n_regs > MAX_STATE_DIM or n_cosets * d**n_regs > _MAX_PROJECTION_WORK:
-        raise CapabilityError(
-            f"symmetrization over {n_cosets} register cosets in dimension "
-            f"{d}^{n_regs} exceeds the guard {_MAX_PROJECTION_WORK}; "
-            f"use the closed form for k = {k}"
-        )
     vecs = [phi.amplitudes] * k + [psi.amplitudes] * k
     product = reduce(np.kron, vecs).reshape((d,) * n_regs)
     acc = np.zeros_like(product)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import log2, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -35,7 +35,8 @@ from .codes import (
     agreement_fraction,
     certify_distance,
 )
-from .errors import CapabilityError, ConfigError
+from .errors import ConfigError
+from .guards import check
 from .qstate import qubits_required
 
 # Protocol -> (the repetition count it reads, its key in message_costs).
@@ -46,18 +47,6 @@ _PROTOCOLS = {
 }
 PROTOCOLS = tuple(_PROTOCOLS)
 PAIR_SOURCES = ("random-pairs", "forced-equal", "forced-unequal", "adversarial-list")
-# Guard on k and r: the exact theory bound raises a rational to this power
-# unless the result is sure to round to 0.0 (about 3 s at 2^22 on a 2-core
-# box).
-MAX_REPETITIONS = 1 << 22
-# Work guard on trials, checked before any runs: a run at the bound takes
-# about 1 s for hadamard codes and 5 s for random-linear n = 20 on a 2-core
-# box (the largest count in use is 10^6).
-MAX_TRIALS = 1 << 24
-# A power p^reps with reps*log2(p) below this is 0.0 as a float, since any
-# value below 2^-1075 rounds to 0.0; 25 bits of margin dwarf the rounding
-# error of reps*log2(p).
-_UNDERFLOW_LOG2 = -1100
 
 
 def _swap_p_one(agree, m):
@@ -146,19 +135,56 @@ class ExperimentReport:
         return ",".join(columns) + "\n" + ",".join(row) + "\n"
 
 
+def _bracket(p: Fraction, e: int, width: int, up: bool) -> float:
+    """A float bound on p^e: below it, or above it if ``up``.
+
+    p and each product of the square-and-multiply chain are kept as a
+    ``width``-bit integer times a power of two, rounded down (or up), so the
+    bound's float is correctly rounded from a value on that side of p^e.
+    """
+    def rounded(mant: int, exp: int) -> tuple[int, int]:
+        shift = mant.bit_length() - width
+        if shift <= 0:
+            return mant, exp
+        return (-(-mant >> shift) if up else mant >> shift), exp + shift
+
+    shift = width + p.denominator.bit_length() - p.numerator.bit_length()
+    num = p.numerator << shift
+    base = (-(-num // p.denominator) if up else num // p.denominator), -shift
+    mant, exp = 1, 0
+    while e:
+        if e & 1:
+            mant, exp = rounded(mant * base[0], exp + base[1])
+        e >>= 1
+        if e:
+            base = rounded(base[0] * base[0], 2 * base[1])
+    if mant.bit_length() + exp <= -1075:  # below half the least subnormal
+        return 0.0
+    return mant / (1 << -exp) if exp < 0 else float(mant << exp)
+
+
+def _power_float(p: Fraction, e: int) -> float:
+    """float(p**e) for 0 <= p <= 1 and e >= 1, without the exact power.
+
+    The two ``_bracket`` bounds start at 128 bits; p^e lies between them,
+    so once they round to one float p^e rounds to it too.  Else the width
+    doubles, until they meet (at worst when it holds p^e exactly).  Each
+    try is O(log e) products of ``width`` bits, where the exact power has
+    e times the bits of p.
+    """
+    width = 128
+    while (low := _bracket(p, e, width, False)) != _bracket(p, e, width, True):
+        width *= 2
+    return low
+
+
 def _theory_bound(protocol_id: str, code: BinaryCode,
                   reps: int | None) -> float | None:
-    """The accept law at the certified agreement bound, as a float.
-
-    The exact rational power is skipped when it is sure to round to 0.0.
-    """
+    """The accept law at the certified agreement bound, as a float."""
     if protocol_id == "mixture":
         return None
     agree = certify_distance(code).max_agreement * code.m
-    p = accept_probability(protocol_id, agree, code.m, 1)
-    if 0 < p < 1 and reps * log2(p) < _UNDERFLOW_LOG2:
-        return 0.0
-    return float(p**reps)
+    return _power_float(accept_probability(protocol_id, agree, code.m, 1), reps)
 
 
 def _sample_pairs(rng: np.random.Generator, pair_source: str, n: int, size: int,
@@ -230,9 +256,9 @@ def run_experiment(
     the block generator.  No key or coin is drawn: each verdict samples the
     pair's exact accept law.  A ``k``, ``r`` or ``pairs`` that the protocol
     or pair source does not read raises ``ConfigError``; ``trials`` above
-    ``MAX_TRIALS``, a ``k`` or ``r`` above ``MAX_REPETITIONS``, or a code past
-    the certification guard raises ``CapabilityError``, before any trial
-    runs.
+    ``guards.MAX_TRIALS``, a ``k`` or ``r`` above ``guards.MAX_REPETITIONS``,
+    or a code past the certification guard raises ``CapabilityError``,
+    before any trial runs.
     """
     if protocol_id not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol_id!r}; expected {PROTOCOLS}")
@@ -242,9 +268,7 @@ def run_experiment(
         )
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    if trials > MAX_TRIALS:
-        raise CapabilityError(f"trials (--trials) = {trials} is above the guard "
-                              f"MAX_TRIALS = {MAX_TRIALS}")
+    check("MAX_TRIALS", trials, "trials (--trials)")
     reps_name, cost_key = _PROTOCOLS[protocol_id]
     counts = {"k": k, "r": r}
     for owner, (name, _) in _PROTOCOLS.items():
@@ -254,9 +278,8 @@ def run_experiment(
     reps = counts.get(reps_name)
     if reps_name and (reps is None or reps < 1):
         raise ConfigError(f"{protocol_id} protocol needs {reps_name} >= 1")
-    if (reps or 0) > MAX_REPETITIONS:
-        raise CapabilityError(f"{reps_name} (--{reps_name}) = {reps} is above "
-                              f"the guard {MAX_REPETITIONS}")
+    if reps_name:
+        check("MAX_REPETITIONS", reps, f"{reps_name} (--{reps_name})")
     table = None
     if pair_source == "adversarial-list":
         if not pairs:

@@ -15,11 +15,8 @@ from math import prod
 import numpy as np
 
 from .codes import BinaryCode, _check_bits, _codeword_bits, agreement_fraction
-from .errors import CapabilityError, DomainError, InputShapeError
-
-# Dense-simulation guards: total amplitudes, and fingerprint index length.
-MAX_STATE_DIM = 1 << 22
-MAX_FINGERPRINT_M = 1 << 20
+from .errors import DomainError, InputShapeError
+from .guards import check
 
 NORM_TOL = 1e-12
 
@@ -40,10 +37,7 @@ class PureState:
             raise InputShapeError(
                 f"shape {shape} does not describe {amps.size} amplitudes"
             )
-        if amps.size > MAX_STATE_DIM:
-            raise CapabilityError(
-                f"state dimension {amps.size} exceeds the guard {MAX_STATE_DIM}"
-            )
+        check("MAX_STATE_DIM", amps.size, "state dimension")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise DomainError(f"state is not normalized: |amps|^2 = {norm_sq!r}")
@@ -103,11 +97,7 @@ def qubits_required(code: BinaryCode) -> int:
 def make_fingerprint(code: BinaryCode, x: str) -> Fingerprint:
     """Uniform superposition of |i>|E_i(x)> over all m codeword positions."""
     _check_bits(x, code.n, "x")
-    if code.m > MAX_FINGERPRINT_M:
-        raise CapabilityError(
-            f"codeword length {code.m} exceeds the fingerprint guard "
-            f"{MAX_FINGERPRINT_M}"
-        )
+    check("MAX_FINGERPRINT_M", code.m, "fingerprint codeword length m")
     bits = _codeword_bits(code, x).astype(np.int64)
     amps = np.zeros(2 * code.m, dtype=np.complex128)
     amps[2 * np.arange(code.m) + bits] = 1.0 / np.sqrt(code.m)
@@ -137,10 +127,7 @@ def fingerprint_overlap(a: Fingerprint, b: Fingerprint) -> Fraction:
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product; register shapes concatenate."""
-    if a.dim * b.dim > MAX_STATE_DIM:
-        raise CapabilityError(
-            f"tensor dimension {a.dim * b.dim} exceeds the guard {MAX_STATE_DIM}"
-        )
+    check("MAX_STATE_DIM", a.dim * b.dim, "tensor dimension")
     return PureState(np.kron(a.amplitudes, b.amplitudes), a.shape + b.shape)
 
 

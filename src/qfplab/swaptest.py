@@ -6,7 +6,7 @@
   register exchange and H again, one row block of the (2, D, D) state at
   a time from a reused (2, rows, D) stack of the rows of phi x psi and
   psi x phi, then the Born probability of control = 1.  The state is never
-  held whole, so its guard 2 D^2 <= MAX_STATE_DIM bounds work, not memory.
+  held whole, so its guard 2 D^2 <= guards.MAX_STATE_DIM bounds work, not memory.
   When neither input has an imaginary part (code fingerprints never do),
   the circuit runs in float64 on the real parts, at half the cost and with
   the same bits in every amplitude and in p(1): in complex128 each gate
@@ -28,9 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, InputShapeError
+from .errors import DomainError, InputShapeError
+from .guards import check
 from .permtest import p_eq_closed_form
-from .qstate import MAX_STATE_DIM, PureState
+from .qstate import PureState
 
 _HALF_TOL = 1e-12
 # Amplitudes per row block of the circuit and its check (256 kB of
@@ -91,10 +92,7 @@ def _evolved_blocks(phi: PureState, psi: PureState):
     if phi.shape != psi.shape:
         raise InputShapeError(f"shape mismatch: {phi.shape} vs {psi.shape}")
     d = phi.dim
-    if 2 * d * d > MAX_STATE_DIM:
-        raise CapabilityError(
-            f"joint dimension 2*{d}^2 exceeds the guard {MAX_STATE_DIM}"
-        )
+    check("MAX_STATE_DIM", 2 * d * d, "joint dimension 2 D^2 of the swap circuit")
     s = 1.0 / math.sqrt(2.0)
     a, b = phi.amplitudes, psi.amplitudes
     if not (a.imag.any() or b.imag.any()):

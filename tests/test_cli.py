@@ -190,7 +190,7 @@ class TestSmpRun:
                      flag, "100000000", "--trials", "5000"])
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_CAPABILITY
-        assert "guard 4194304" in capsys.readouterr().err
+        assert "guard MAX_REPETITIONS = 4194304" in capsys.readouterr().err
 
     def test_largest_repetition_count_is_fast(self, tmp_path):
         # (5/8)^k underflows, so the exact power is never taken
@@ -362,18 +362,19 @@ def test_negative_seed_exit_2(argv, flag, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,guard", [
     (["codes", "--code", "random-linear", "--n", "8", "--c", "100000000"],
-     "guard 1048576"),
-    (["nearset", "--n", "3", "--delta", "1e-5"], "guard 8388608"),
+     "guard GENERATOR_MAX_ENTRIES = 1048576"),
+    (["nearset", "--n", "3", "--delta", "1e-5"],
+     "guard MAX_COORDINATES = 8388608"),
     (["nearset", "--n", "3", "--delta", "0.5", "--d", "100000000000"],
-     "guard 8388608"),
+     "guard MAX_COORDINATES = 8388608"),
     (["nearset", "--pair-mode", "--delta", "0.5", "--d", "100000000000",
-      "--pairs", "5"], "guard 8388608"),
+      "--pairs", "5"], "guard MAX_COORDINATES = 8388608"),
     (["nearset", "--pair-mode", "--delta", "0.5", "--d", "8",
-      "--pairs", "100000000000"], "guard 268435456"),
+      "--pairs", "100000000000"], "guard MAX_PAIR_COORDINATES = 268435456"),
     (["perm-test", "--k", "2", "--gamma", "0.5", "--trials", str(2**63)],
-     "guard 9223372036854775807"),
+     "guard MAX_SAMPLED_TRIALS = 9223372036854775807"),
     (["swap-test", "--n", "4", "--x", "0101", "--y", "0110",
-      "--trials", str(2**63)], "guard 9223372036854775807"),
+      "--trials", str(2**63)], "guard MAX_SAMPLED_TRIALS = 9223372036854775807"),
     (["perm-test", "--k", "517", "--gamma", "0.5"],
      "guard FLOAT_CLOSED_FORM_MAX_K = 516"),
     (["perm-test", "--k", "1000000", "--gamma", "0.5"],
@@ -383,14 +384,24 @@ def test_negative_seed_exit_2(argv, flag, tmp_path, capsys):
     (["nearset", "--n", "3", "--delta", "0.5", "--seeds", "100000"],
      "guard MAX_SEEDS = 1024"),
     (["nearset", "--n", "3", "--delta", "0.5", "--count", "16385"],
-     "guard 16384"),
+     "guard AUDIT_MAX_COUNT = 16384"),
     (["smp-run", "--protocol", "mixture", "--n", "4",
       "--trials", "100000000000"], "guard MAX_TRIALS = 16777216"),
+    (["nearset", "--n", "15000", "--delta", "0.5"],
+     "= 2^64 or more is above the guard AUDIT_MAX_COUNT = 16384"),
+    (["nearset", "--n", "1000000000", "--delta", "0.5"],
+     "= 2^64 or more is above the guard AUDIT_MAX_COUNT = 16384"),
+    (["codes", "--n", "100000000"],
+     "= 100000000 is above the guard HADAMARD_MAX_N = 63"),
+    (["codes", "--n", "1000000000"],
+     "= 1000000000 is above the guard HADAMARD_MAX_N = 63"),
 ], ids=["random-linear-generator", "nearset-set-delta", "nearset-set-d",
         "nearset-pair-block", "nearset-pair-run", "perm-test-trials",
         "swap-test-trials", "perm-test-float-k", "perm-test-huge-k",
         "nearset-delta-underflow", "nearset-dimension-overflow",
-        "nearset-seeds", "nearset-set-count", "smp-run-trials"])
+        "nearset-seeds", "nearset-set-count", "smp-run-trials",
+        "nearset-n15000", "nearset-n1e9", "codes-hadamard-n1e8",
+        "codes-hadamard-n1e9"])
 def test_oversized_input_exit_3_fast(argv, guard, capsys):
     # refused before anything of that size is sampled or allocated
     start = time.perf_counter()

@@ -24,13 +24,12 @@ from qfplab import (
     random_linear_code,
 )
 from qfplab.codes import (
-    CODEWORD_MAX_BITS,
-    GENERATOR_MAX_ENTRIES,
     _agreements,
     _codeword_bits,
     _packed_words,
     _weight_distribution,
 )
+from qfplab.guards import GUARDS
 
 
 def all_messages(n):
@@ -411,8 +410,8 @@ class TestConstruction:
         code = hadamard_code(n)
         start = time.perf_counter()
         with pytest.raises(CapabilityError, match=re.escape(
-                f"1 x {2**n} codeword bits are above the guard "
-                f"CODEWORD_MAX_BITS = {CODEWORD_MAX_BITS}")):
+                f"codeword bits, messages x m = {2**n} is above the guard "
+                f"CODEWORD_MAX_BITS = {2**22}")):
             encode(code, "1" * n)
         assert time.perf_counter() - start < 1.0
         assert bit_at(code, "1" * n, code.m) == n % 2
@@ -420,8 +419,9 @@ class TestConstruction:
 
     def test_codeword_bit_guard_admits_the_largest_fingerprint(self):
         # make_fingerprint builds codewords of up to 2^20 bits
-        assert CODEWORD_MAX_BITS >= 2**20
-        assert len(encode(hadamard_code(22), "1" * 22)) == CODEWORD_MAX_BITS
+        limit = GUARDS["CODEWORD_MAX_BITS"]
+        assert limit >= 2**20
+        assert len(encode(hadamard_code(22), "1" * 22)) == limit
 
     def test_declared_code_takes_one_codeword_source(self):
         # a generator and an encoder together would leave one of them unread
@@ -436,13 +436,14 @@ class TestConstruction:
             random_linear_code(4, 1, seed=0)
 
     def test_random_linear_generator_guard(self):
-        # c * n^2 entries: admitted at exactly GENERATOR_MAX_ENTRIES, refused
-        # one past it
-        code = random_linear_code(1, GENERATOR_MAX_ENTRIES, seed=0)
-        assert code.generator.shape == (GENERATOR_MAX_ENTRIES, 1)
+        # c * n^2 entries: admitted at exactly the guard, refused one past it
+        limit = GUARDS["GENERATOR_MAX_ENTRIES"]
+        code = random_linear_code(1, limit, seed=0)
+        assert code.generator.shape == (limit, 1)
         with pytest.raises(CapabilityError, match=re.escape(
-                f"c*n^2 = {GENERATOR_MAX_ENTRIES + 1} entries is above the guard")):
-            random_linear_code(1, GENERATOR_MAX_ENTRIES + 1, seed=0)
+                f"c*n^2 = {limit + 1} is above the guard "
+                f"GENERATOR_MAX_ENTRIES = {2**20}")):
+            random_linear_code(1, limit + 1, seed=0)
 
     def test_random_linear_deterministic(self):
         a = random_linear_code(6, 3, seed=12)

@@ -20,8 +20,8 @@ from qfplab import (
     sample_vector_set,
     swap_test_analytic,
 )
+from qfplab.guards import GUARDS
 from qfplab.nearset import (
-    MAX_PAIR_COORDINATES,
     VectorSet,
     _pair_numerators,
     _pcg64_words,
@@ -209,9 +209,10 @@ class TestPairAudit:
 
     def test_run_guard_admits_exactly_its_bound(self):
         # 2^17 pairs of dimension 1024 draw exactly 2^28 coordinates
-        pairs = MAX_PAIR_COORDINATES // 2048
+        pairs = GUARDS["MAX_PAIR_COORDINATES"] // 2048
         assert sample_pair_audit(pairs, 1024, 0.2, seed=9).total_pairs == pairs
-        with pytest.raises(CapabilityError, match="guard 268435456"):
+        with pytest.raises(CapabilityError,
+                           match="guard MAX_PAIR_COORDINATES = 268435456"):
             sample_pair_audit(pairs + 1, 1024, 0.2, seed=9)
 
     def test_deterministic(self):

@@ -28,7 +28,7 @@ from qfplab import (
     sample_rate,
     swap_test_analytic,
 )
-from qfplab.permtest import FLOAT_CLOSED_FORM_MAX_K
+from qfplab.guards import GUARDS
 
 GAMMA_GRID = [0.0, 0.25, 0.5, 0.75, 0.9]
 DELTA_GRID = [Fraction(j, 10) for j in range(10)]
@@ -79,13 +79,14 @@ class TestClosedForm:
 
     def test_float_route_guard_precedes_the_factorials(self):
         start = time.perf_counter()
-        for k in (FLOAT_CLOSED_FORM_MAX_K + 1, 10**9):
+        limit = GUARDS["FLOAT_CLOSED_FORM_MAX_K"]
+        for k in (limit + 1, 10**9):
             with pytest.raises(CapabilityError, match=re.escape(
                     f"k = {k} is above the guard FLOAT_CLOSED_FORM_MAX_K = 516")):
                 p_eq_closed_form(k, 0.5)
         assert time.perf_counter() - start < 1.0
         # the exact route has no guard on k
-        assert p_eq_closed_form(FLOAT_CLOSED_FORM_MAX_K + 1, Fraction(1)) == 1
+        assert p_eq_closed_form(limit + 1, Fraction(1)) == 1
 
     def test_monotone_in_gamma(self):
         for k in (1, 2, 5, 10):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfplab import (
     CapabilityError,
@@ -26,10 +28,9 @@ from qfplab import (
 from qfplab import protocols
 from qfplab.cli import _canonical_json
 from qfplab.codes import _weight_distribution
+from qfplab.guards import GUARDS
 from qfplab.protocols import (
     BLOCK,
-    MAX_REPETITIONS,
-    MAX_TRIALS,
     _sample_pairs,
     _swap_p_one,
     accept_probability,
@@ -241,7 +242,8 @@ class TestRunExperiment:
         # m = 2^21 is above the fingerprint guard, which make_fingerprint
         # checks before it builds any amplitude; the engine needs none
         start = time.perf_counter()
-        with pytest.raises(CapabilityError, match="fingerprint guard"):
+        with pytest.raises(CapabilityError,
+                           match="guard MAX_FINGERPRINT_M = 1048576"):
             make_fingerprint(hadamard_code(21), "0" * 21)
         assert time.perf_counter() - start < 5.0
 
@@ -264,21 +266,22 @@ class TestRunExperiment:
         ("quantum", "k"), ("shared-key", "r")])
     def test_repetition_guard(self, monkeypatch, protocol_id, name):
         # the guard admits exactly MAX_REPETITIONS at any trial count
-        code = hadamard_code(4)
+        code, limit = hadamard_code(4), GUARDS["MAX_REPETITIONS"]
         for trials in (2, 10**6):
             rep = run_experiment(protocol_id, code, trials, "random-pairs",
-                                 seed=0, **{name: MAX_REPETITIONS})
-            assert rep.params == {name: MAX_REPETITIONS}
+                                 seed=0, **{name: limit})
+            assert rep.params == {name: limit}
             assert rep.trials_equal + rep.trials_unequal == trials
 
         def no_trials(*args):
             raise AssertionError("a trial block ran before the guard")
 
         monkeypatch.setattr(protocols, "_block_accepts", no_trials)
-        count = MAX_REPETITIONS + 1
+        count = limit + 1
         for trials in (2, 10**6):
             with pytest.raises(CapabilityError, match=re.escape(
-                    f"{name} (--{name}) = {count} is above the guard 4194304")):
+                    f"{name} (--{name}) = {count} is above the guard "
+                    f"MAX_REPETITIONS = 4194304")):
                 run_experiment(protocol_id, code, trials, "random-pairs",
                                seed=0, **{name: count})
 
@@ -287,12 +290,13 @@ class TestRunExperiment:
             raise AssertionError("a trial block ran before the guard")
 
         monkeypatch.setattr(protocols, "_block_accepts", no_trials)
+        limit = GUARDS["MAX_TRIALS"]
         with pytest.raises(CapabilityError, match=re.escape(
-                f"trials (--trials) = {MAX_TRIALS + 1} is above the guard "
-                f"MAX_TRIALS = {MAX_TRIALS}")):
-            run_experiment("mixture", hadamard_code(4), MAX_TRIALS + 1,
+                f"trials (--trials) = {limit + 1} is above the guard "
+                f"MAX_TRIALS = {limit}")):
+            run_experiment("mixture", hadamard_code(4), limit + 1,
                            "random-pairs", seed=0)
-        assert MAX_TRIALS >= 10**6  # the largest count in use
+        assert limit >= 10**6  # the largest count in use
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigError):
@@ -556,10 +560,46 @@ class TestTheoryBound:
         p = accept_probability(protocol_id, agree, code.m, 1)
         reps = [1, 7, 13, 999] + [1 << e for e in range(10, 23)]
         if 0 < p < 1:
-            # the last subnormal power, and the skip's cut-off
+            # the last subnormal power, and one far below it
             for log2_floor in (-1074, -1100):
                 edge = math.floor(log2_floor / math.log2(p))
                 reps += range(edge - 2, edge + 3)
         for r in reps:
             assert protocols._theory_bound(protocol_id, code, r) == \
                 exact_float_power(p, r), r
+
+    @settings(max_examples=200)
+    @given(p=st.fractions(0, 1, max_denominator=2**70), e=st.integers(1, 2**12))
+    def test_bracketed_power_is_the_float_of_the_exact_power(self, p, e):
+        assert protocols._power_float(p, e) == float(p**e)
+
+    @pytest.mark.parametrize("p,e", [
+        (Fraction(2**53 + 1, 2**54), 1),  # a tie between two floats
+        # just past that tie: 128-bit brackets straddle it, 256 bits do not
+        (Fraction(2**53 + 1, 2**54) + Fraction(1, 3 * 2**200), 1),
+        (Fraction(2**53 + 1, 2**53), 3),
+        (Fraction(1, 2), 1074),  # the least subnormal
+        (Fraction(1, 2), 1075),  # half of it: a tie, rounded to 0.0
+        (Fraction(3, 4), 2589),
+        (Fraction(0), 5),
+        (Fraction(1), 2**22),
+        (Fraction(2**64 - 1, 2**64), 2**12),
+    ])
+    def test_bracketed_power_near_ties_and_subnormals(self, p, e):
+        assert protocols._power_float(p, e) == float(p**e)
+
+    @pytest.mark.parametrize("protocol_id", ["quantum", "shared-key"])
+    def test_power_near_one_over_a_large_denominator_is_fast(self, protocol_id):
+        # agreement 1 - 2^-20 of m = 2^20: the exact power at 2^22 has about
+        # 2^27 bits and did not finish in 60 s
+        code = declared_code(20, 2**20, encoder=lambda x: "1" * 2**20,
+                             delta=1 - Fraction(1, 2**20))
+        agree = certify_distance(code).max_agreement * code.m
+        p = accept_probability(protocol_id, agree, code.m, 1)
+        assert protocols._theory_bound(protocol_id, code, 2**10) == \
+            float(p ** 2**10)
+        start = time.perf_counter()
+        bound = protocols._theory_bound(protocol_id, code, 2**22)
+        assert time.perf_counter() - start < 0.1
+        assert bound == pytest.approx(
+            math.exp(2**22 * math.log1p(float(p - 1))), rel=1e-12)

@@ -297,7 +297,8 @@ class TestSample:
 
     def test_trials_validated(self):
         p = analytic_p_one(*fingerprint_pair())
-        with pytest.raises(CapabilityError, match="guard 9223372036854775807"):
+        with pytest.raises(CapabilityError, match=(
+                "guard MAX_SAMPLED_TRIALS = 9223372036854775807")):
             sample_rate(p, trials=2**63, seed=1)
         with pytest.raises(DomainError):
             sample_rate(p, trials=0, seed=1)
