@@ -9,9 +9,11 @@ Three code families are supported:
 * ``declared`` — a caller-supplied encoder together with a claimed bound on
   the pairwise agreement fraction.
 
-Distance certification is exact: closed form for hadamard codes, a numpy
-weight enumerator for codes with a generator, pairwise comparison for a bare
-declared encoder, each of the last two within a bound on its word operations.
+Distance certification is exact: closed form for hadamard codes, the
+minimum nonzero weight from one numpy pass over span tables of the codewords
+for codes with a generator (no weight histogram is built), pairwise
+comparison for a bare declared encoder, each of the last two within a bound
+on its word operations.
 Agreement fractions are exact rationals throughout; hadamard agreements are
 in closed form.
 """
@@ -375,23 +377,39 @@ def _span(columns: np.ndarray) -> np.ndarray:
     return table
 
 
-def _weight_distribution(code: BinaryCode) -> np.ndarray:
-    """A_w, the number of codewords of weight w, for w = 0..m (int64).
+def _codeword_weights(code: BinaryCode):
+    """Yield the weights of every codeword of a generator code, chunk by chunk.
 
     ``_span`` tabulates the codewords of the low message bits, as many as keep
     the table within ``_TABLE_WORDS`` packed words, and of the high bits; each
-    high-bit codeword is XORed into the whole low table, in any order.
+    high-bit codeword is XORed into the whole low table, in any order.  Entry
+    0 of the first chunk is the zero codeword.  Weights are summed in uint8
+    while every weight fits (m < 256).
     """
-    n, m = code.n, code.m
     # the generator columns are the codewords of the n unit messages
     columns = _packed_words(code.generator.T)
-    low = min(n, max(0, (_TABLE_WORDS // columns.shape[1]).bit_length() - 1))
+    low = min(code.n, max(0, (_TABLE_WORDS // columns.shape[1]).bit_length() - 1))
     table = _span(columns[:low])
-    counts = np.zeros(m + 1, dtype=np.int64)
+    dtype = np.uint8 if code.m < 256 else np.intp
     for offset in _span(columns[low:]).T[..., None]:
-        weights = np.bitwise_count(table ^ offset).sum(axis=0, dtype=np.intp)
-        counts += np.bincount(weights, minlength=m + 1)
+        yield np.bitwise_count(table ^ offset).sum(axis=0, dtype=dtype)
+
+
+def _weight_distribution(code: BinaryCode) -> np.ndarray:
+    """A_w, the number of codewords of weight w, for w = 0..m (int64)."""
+    counts = np.zeros(code.m + 1, dtype=np.int64)
+    for weights in _codeword_weights(code):
+        counts += np.bincount(weights, minlength=code.m + 1)
     return counts
+
+
+def _min_weight(code: BinaryCode) -> int:
+    """The smallest weight of a nonzero codeword: the code's minimum distance."""
+    chunks = _codeword_weights(code)
+    least = int(next(chunks)[1:].min(initial=code.m))
+    for weights in chunks:
+        least = min(least, int(weights.min()))
+    return least
 
 
 def _min_pairwise_distance(code: BinaryCode) -> int:
@@ -408,7 +426,8 @@ def certify_distance(code: BinaryCode) -> DistanceCertificate:
     """Exact minimum Hamming distance over all distinct codeword pairs.
 
     Hadamard codes have distance m/2 in closed form; other codes with a
-    generator take the smallest nonzero weight of their weight distribution;
+    generator take the smallest weight of a nonzero codeword, read in one
+    pass over the span tables of their codewords;
     declared codes with a claimed delta return it verbatim; a declared
     encoder without a claim is compared pairwise.  Past the word-operation
     guard a code is rejected with instructions to declare a bound instead.
@@ -425,9 +444,7 @@ def certify_distance(code: BinaryCode) -> DistanceCertificate:
         check("CERTIFY_MAX_WORDS", count * -(-code.m // 64),
               "word operations to certify the code (or declare a delta bound)")
         if code.is_linear:
-            weights = _weight_distribution(code)
-            dist = int(np.flatnonzero(weights[1:])[0]) + 1
-            method = "weight-enumeration"
+            dist, method = _min_weight(code), "weight-enumeration"
         else:
             dist, method = _min_pairwise_distance(code), "exhaustive"
             if dist == 0:

@@ -18,8 +18,8 @@ GUARDS = {
     "MAX_STATE_DIM": 1 << 22,
     "MAX_FINGERPRINT_M": 1 << 20,
     # Most 64-bit word operations an exact certificate may take: 2^n * ceil(m/64)
-    # for the weight enumerator (random-linear n = 24, c = 3 takes about 0.1 s on
-    # a 2-core box), C(2^n, 2) * ceil(m/64) for the pairwise comparison.
+    # for the minimum-weight pass (random-linear n = 24, c = 3 takes 31 ms on a
+    # 2-core box), C(2^n, 2) * ceil(m/64) for the pairwise comparison.
     "CERTIFY_MAX_WORDS": 2**25,
     # Entries c*n^2 of a sampled random-linear generator (1 MB of uint8).
     "GENERATOR_MAX_ENTRIES": 2**20,

@@ -158,12 +158,20 @@ def _limbs(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
 
 def _mul128(a_hi, a_lo, b_hi, b_lo):
     """Low 128 bits of a * b in uint64 limbs; the high word of a_lo * b_lo
-    is summed from its four 32-bit partial products."""
+    is summed from its four 32-bit partial products, accumulated in place."""
     a0, a1, b0, b1 = a_lo & _M32, a_lo >> 32, b_lo & _M32, b_lo >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> 32) + (p01 & _M32) + (p10 & _M32)
-    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return carry + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+    mid = a0 * b0
+    mid >>= 32
+    hi = a1 * b1
+    for part in (a0 * b1, a1 * b0):
+        hi += part >> 32
+        part &= _M32
+        mid += part
+    mid >>= 32
+    hi += mid
+    hi += a_hi * b_lo
+    hi += a_lo * b_hi
+    return hi, a_lo * b_lo
 
 
 def _pcg64_words(root: np.random.SeedSequence, count: int, words: int) -> np.ndarray:

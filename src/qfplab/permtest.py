@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb, cos, factorial, inf, pi, sqrt
+from math import comb, cos, factorial, inf, log2, pi, sqrt
 
 import numpy as np
 
@@ -110,14 +110,25 @@ def p_eq_projection(phi: PureState, psi: PureState, k: int) -> float:
 
 
 def p_eq_upper_bound(k: int, delta):
-    """(k!)^2/(2k)! * (1 + delta)^(2k); may exceed 1 and is still a bound."""
+    """(k!)^2/(2k)! * (1 + delta)^(2k); may exceed 1 and is still a bound.
+
+    A float delta returns the float of the exact value.  Since C(2k, k) >=
+    4^k/(2 sqrt k), that value is at most 2 sqrt(k) ((1 + delta)/2)^(2k); when
+    this bound, with a margin for the rounding of its logarithms, is below
+    half the least subnormal 2^-1075, the float is 0.0 and no exact power is
+    formed.
+    """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    prefactor = Fraction(factorial(k) ** 2, factorial(2 * k))
     d = _as_fraction(delta)
     if d is not None:
-        return prefactor * (1 + d) ** (2 * k)
-    return float(prefactor * Fraction(float(delta) + 1.0) ** (2 * k))
+        return Fraction(factorial(k) ** 2, factorial(2 * k)) * (1 + d) ** (2 * k)
+    base = float(delta) + 1.0
+    if 0.0 < abs(base) < 2.0 and \
+            2 * k * log2(abs(base) / 2) * (1 - 1e-9) + log2(k) / 2 + 2 < -1075:
+        return 0.0
+    return float(Fraction(factorial(k) ** 2, factorial(2 * k))
+                 * Fraction(base) ** (2 * k))
 
 
 def p_eq_asymptotic(k: int, delta: float) -> float:

@@ -21,7 +21,7 @@ count and the one ``message_costs`` entry of each protocol.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import sqrt
 
@@ -112,7 +112,8 @@ class ExperimentReport:
     message_cost: dict
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """A fresh dict of the fields; the code, params and cost dicts are shared."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_csv(self) -> str:
         """The flat projection: a header line and one row, in column order."""

@@ -26,6 +26,7 @@ from qfplab import (
 from qfplab.codes import (
     _agreements,
     _codeword_bits,
+    _min_weight,
     _packed_words,
     _weight_distribution,
 )
@@ -309,6 +310,40 @@ class TestWeightDistribution:
         code = declared_code(n, n + extra, generator=rng.permutation(gen))
         assert np.array_equal(_weight_distribution(code),
                               reference_weight_distribution(code))
+
+
+class TestMinWeight:
+    # m <= 64 packs a codeword into one word, 65..255 into 2-4 words summed
+    # in uint8, 256 and up into words summed in intp; n is capped so that the
+    # brute force stays small, and still passes the low table's bits in each
+    # range (14 at one word, 13 at two, 12 at three or four, 11 at five)
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.one_of(st.integers(1, 64), st.integers(65, 255),
+                       st.integers(256, 320)),
+           n=st.integers(1, 15), density=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=64, n=15, density=0.5, seed=0)
+    @example(m=128, n=14, density=0.1, seed=1)
+    @example(m=255, n=14, density=0.5, seed=2)
+    @example(m=300, n=13, density=0.05, seed=3)
+    def test_matches_brute_force_on_random_generators(self, m, n, density, seed):
+        n = min(n, m, 15 if m <= 64 else 14 if m < 256 else 13)
+        rng = np.random.default_rng(seed)
+        extra = (rng.random((m - n, n)) < density).astype(np.uint8)
+        gen = np.vstack([np.eye(n, dtype=np.uint8), extra])
+        code = declared_code(n, m, generator=rng.permutation(gen))
+        counts = reference_weight_distribution(code)
+        assert _min_weight(code) == int(np.flatnonzero(counts[1:])[0]) + 1
+
+    # generator column n - 1 alone spells the one codeword of weight 1 (each
+    # other message bit is repeated three times), and that codeword is entry 0
+    # of the third or fifth table pass, not of the first
+    @pytest.mark.parametrize("n, m", [(16, 64), (15, 200), (14, 300)])
+    def test_lightest_codeword_opens_a_later_pass(self, n, m):
+        gen = np.zeros((m, n), dtype=np.uint8)
+        gen[:3 * (n - 1), :n - 1] = np.tile(np.eye(n - 1, dtype=np.uint8), (3, 1))
+        gen[3 * (n - 1), n - 1] = 1
+        assert _min_weight(declared_code(n, m, generator=gen)) == 1
 
 
 def test_weight_distribution_peak_memory_near_generator_size():

@@ -194,6 +194,23 @@ class TestBounds:
         for k in (1, 2, 5):
             assert p_eq_upper_bound(k, Fraction(0)) == p_eq_closed_form(k, Fraction(0))
 
+    def test_upper_bound_float_underflow_is_immediate(self):
+        start = time.perf_counter()
+        assert p_eq_upper_bound(10**5, 0.5) == 0.0
+        assert time.perf_counter() - start < 0.01
+
+    # each delta with the first k at which its float bound underflows to 0.0
+    @pytest.mark.parametrize("delta, first", [
+        (0.0, 541), (0.1, 627), (0.5, 1303), (0.8, 3559), (-0.5, 270)])
+    def test_upper_bound_float_matches_exact_route(self, delta, first):
+        def exact(k):
+            return float(Fraction(math.factorial(k) ** 2, math.factorial(2 * k))
+                         * Fraction(delta + 1.0) ** (2 * k))
+        assert exact(first - 1) > 0.0 == exact(first)
+        for k in (1, 2, 10, 100, first - 2, first - 1, first, first + 1,
+                  first + 5, 2 * first, 10**4):
+            assert p_eq_upper_bound(k, delta) == exact(k)
+
     def test_asymptotic_examples(self):
         assert p_eq_asymptotic(10, 0.0) == pytest.approx(
             math.sqrt(10 * math.pi) / 4**10, rel=1e-12
