@@ -210,7 +210,8 @@ def cmd_smp_run(args: argparse.Namespace) -> int:
     )
     wrapped = _wrap("smp-run", args, report.to_json())
     wrapped["results"]["message_cost_summary"] = message_costs(code, **report.params)
-    _emit(wrapped, args, csv_text=report.to_csv())
+    _emit(wrapped, args,
+          csv_text=report.to_csv() if args.format == "csv" else None)
     return EXIT_OK
 
 

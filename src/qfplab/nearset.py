@@ -16,12 +16,17 @@ whole set in uint64 array arithmetic, with no per-vector object.  Pair
 mode: one ``PCG64`` per block of up to 4096 pairs, ceil(size*d/32) words;
 bit i (LSB first) of the first half of their bytes is v's row-major
 coordinate i, and of the second half w's.
+
+Both audits count exactly in integers.  Set mode takes the Gram numerators
+from float32 BLAS products in row blocks of at most 2^19 entries, which fit
+one core's L2 cache; pair mode counts each pair's disagreements with word
+popcounts of v ^ w, never unpacking a bit.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import ceil, comb, exp, floor, log2
 from math import e as _E
@@ -82,7 +87,8 @@ class VectorSet:
 
     def state(self, index: int) -> PureState:
         """Vector ``index`` as a d-dimensional state, for use as a fingerprint."""
-        return PureState(self.vectors()[index], (self.d,))
+        return PureState(self.signs[index].astype(np.float64) / np.sqrt(self.d),
+                         (self.d,))
 
     def overlap(self, i: int, j: int) -> Fraction:
         """Exact rational inner product (2d' - d)/d."""
@@ -250,7 +256,8 @@ class OverlapAudit:
     seed: int | None = None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """A fresh dict of the fields."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _violation_threshold(d: int, delta: float) -> int:
@@ -260,31 +267,41 @@ def _violation_threshold(d: int, delta: float) -> int:
     return floor(Fraction(delta) * d) + 1
 
 
+# products per Gram block of ``audit_overlaps``: 2 MiB of float32, one core's
+# L2 cache on a 2-core box (256 rows at count 2048)
+_GRAM_BLOCK_ENTRIES = 1 << 19
+
+
 def audit_overlaps(vset: VectorSet, delta: float) -> OverlapAudit:
     """Exact pairwise overlap audit of a whole vector set.
 
     The Gram numerators come from float32 matrix products (BLAS).  Every
     partial sum of d products of +/-1 is an integer of size at most d, which
     float32 holds exactly while d <= 2^24; above that float64 is used.  Each
-    block of rows is multiplied only by the rows from its own start onwards,
-    and the block's diagonal square is zeroed below and on the diagonal, so
-    every pair i < j is counted once; a zero never reaches the violation
-    threshold, which is at least 1.
+    block of rows, at most ``_GRAM_BLOCK_ENTRIES`` products, is multiplied
+    only by the rows from its own start onwards.  The block's own square is
+    symmetric and holds each of its pairs twice, once on each side of its
+    diagonal, which is zeroed; a zero never reaches the violation threshold,
+    which is at least 1.  So max|g| is read as max(g.max(), -g.min()), and
+    the square's share of the count g >= T or g <= -T is halved.
     """
     check("AUDIT_MAX_COUNT", vset.count, "the vectors of a pairwise audit")
     signs = vset.signs.astype(np.float32 if vset.d <= 1 << 24 else np.float64)
     threshold = _violation_threshold(vset.d, delta)
+
+    def hits(grams: np.ndarray) -> int:
+        return int(np.count_nonzero(grams >= threshold)
+                   + np.count_nonzero(grams <= -threshold))
+
     max_num = violations = 0
-    block = 1024
-    lower = np.tri(min(block, vset.count), dtype=bool)
+    block = _GRAM_BLOCK_ENTRIES // vset.count  # at least 32 rows under the guard
     for start in range(0, vset.count, block):
         rows = signs[start:start + block]
         grams = rows @ signs[start:].T
-        size = rows.shape[0]
-        grams[:, :size][lower[:size, :size]] = 0.0
-        np.abs(grams, out=grams)
-        max_num = max(max_num, int(grams.max()))
-        violations += int(np.count_nonzero(grams >= threshold))
+        square = grams[:, :rows.shape[0]]
+        np.fill_diagonal(square, 0)
+        max_num = max(max_num, int(grams.max()), -int(grams.min()))
+        violations += hits(grams) - hits(square) // 2
     return OverlapAudit(
         d=vset.d, count=vset.count, delta=float(delta),
         max_abs_overlap=max_num / vset.d, violating_pairs=violations,
@@ -294,13 +311,28 @@ def audit_overlaps(vset: VectorSet, delta: float) -> OverlapAudit:
 
 
 def _pair_numerators(seed, size: int, d: int) -> np.ndarray:
-    """|d <v, w>| for each of ``size`` pairs (v, w) drawn from one PCG64."""
+    """|d <v, w>| for each of ``size`` pairs (v, w) drawn from one PCG64.
+
+    The set bits of v ^ w mark disagreements, and the numerator d <v, w> is
+    agreements - disagreements = d - 2 disagreements.  Pair p's bits run
+    from offset p d to (p + 1) d of the uint32 words of v ^ w, so its
+    disagreements are the difference of the set bits below those offsets:
+    a prefix sum of whole-word popcounts plus the popcount of the edge
+    word masked below the offset.
+    """
     raw = np.random.PCG64(seed).random_raw(-(-size * d // 32))
-    v_w = raw.astype("<u8", copy=False).view(np.uint8).reshape(2, -1)
-    # set bits of v ^ w mark disagreements; the numerator d <v, w> =
-    # agreements - disagreements = d - 2 disagreements
-    diff = np.unpackbits(v_w[0] ^ v_w[1], count=size * d, bitorder="little")
-    return np.abs(d - 2 * diff.reshape(size, d).sum(axis=1, dtype=np.int64))
+    # v fills the first half of the uint32 words, w the second
+    words = raw.astype("<u8", copy=False).view("<u4")
+    diff = words[:raw.size] ^ words[raw.size:]
+    below_word = np.zeros(raw.size + 1, dtype=np.int64)
+    np.cumsum(np.bitwise_count(diff), dtype=np.int64, out=below_word[1:])
+    offsets = np.arange(size + 1, dtype=np.int64) * d
+    index, shift = offsets >> 5, (offsets & 31).astype(np.uint32)
+    # an offset on the end of the words has shift 0, so its clipped edge
+    # word is masked to nothing
+    edge = diff[np.minimum(index, raw.size - 1)] & ((np.uint32(1) << shift) - 1)
+    below = below_word[index] + np.bitwise_count(edge)
+    return np.abs(d - 2 * np.diff(below))
 
 
 def sample_pair_audit(pairs: int, d: int, delta: float, seed) -> OverlapAudit:
@@ -308,8 +340,10 @@ def sample_pair_audit(pairs: int, d: int, delta: float, seed) -> OverlapAudit:
 
     For counts where a full 2^n set is infeasible, the concentration claim
     is still checkable pair by pair: each trial draws a fresh (v, w) and
-    tests |<v,w>| > delta.  Both a block's and the whole run's coordinates
-    are bounded before any draw.
+    tests |<v,w>| > delta.  Pairs are drawn in blocks of up to 4096, one
+    spawned child of ``SeedSequence(seed)`` each, and ``_pair_numerators``
+    counts a block's disagreements by word popcount.  Both a block's and
+    the whole run's coordinates are bounded before any draw.
     """
     if pairs < 1:
         raise DomainError(f"pairs must be >= 1, got {pairs}")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from qfplab import (
 )
 from qfplab.guards import GUARDS
 from qfplab.nearset import (
+    _GRAM_BLOCK_ENTRIES,
     VectorSet,
     _pair_numerators,
     _pcg64_words,
@@ -152,7 +154,7 @@ class TestAuditOverlaps:
 
     @pytest.mark.parametrize("count", [1025, 2049])
     def test_matches_int64_all_pairs_reference(self, count):
-        # counts past one and two blocks of 1024 rows
+        # three Gram blocks of 511 rows, and nine of 255 with a short last one
         vset = sample_vector_set(count, 24, seed=count)
         for delta in (0.5, 0.75):
             max_num, violations = all_pairs_reference(vset, delta)
@@ -190,6 +192,50 @@ class TestAuditOverlaps:
         pairs = sets * math.comb(count, 2)
         sigma = math.sqrt(pairs * p * (1 - p))
         assert abs(violations - pairs * p) <= 5 * sigma
+
+    def test_planted_pairs_across_blocks(self):
+        # at least three Gram blocks, the last one short; duplicate and
+        # antipodal pairs inside one block's square, across two blocks and
+        # inside the last block
+        count, d = 1500, 40
+        block = _GRAM_BLOCK_ENTRIES // count
+        last = (count - 1) // block * block
+        assert last >= 2 * block and count - last < block
+        signs = sample_vector_set(count, d, seed=31).signs.copy()
+        planted = [(5, 7, 1), (block + 1, block + 3, -1), (10, 2 * block + 2, 1),
+                   (block + 8, last + 4, -1), (last, count - 2, 1),
+                   (count - 3, count - 1, -1)]
+        for i, j, sign in planted:
+            signs[j] = sign * signs[i]
+        vset = VectorSet(signs=signs, d=d)
+        for delta in (0.5, 0.99):
+            audit = audit_overlaps(vset, delta)
+            assert audit.max_abs_overlap == 1.0
+            assert (int(audit.max_abs_overlap * d), audit.violating_pairs) == \
+                all_pairs_reference(vset, delta)
+        assert audit.violating_pairs == len(planted)
+
+    def test_self_pairs_not_counted(self):
+        # every off-diagonal overlap is below 1, so a counted diagonal
+        # entry would read as max_abs_overlap == 1.0
+        vset = sample_vector_set(1500, 40, seed=32)
+        max_num, violations = all_pairs_reference(vset, 0.9)
+        assert max_num < 40
+        audit = audit_overlaps(vset, 0.9)
+        assert audit.max_abs_overlap == max_num / 40
+        assert audit.violating_pairs == violations
+
+    def test_gram_blocks_bound_traced_memory(self):
+        # 256-row blocks of 2048 float32 products are 2 MiB each; blocks of
+        # 1024 rows would peak near 14 MiB
+        vset = sample_vector_set(2048, 85, seed=33)
+        tracemalloc.start()
+        try:
+            audit_overlaps(vset, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
     def test_count_guard(self):
         vset = VectorSet(signs=np.ones((2, 2), dtype=np.int8), d=2)
@@ -251,6 +297,10 @@ class TestRawDrawLayout:
     @example(size=1, d=1, seed=0)
     @example(size=3, d=11, seed=1)  # 33 bits: v fills word 0 and w word 1
     @example(size=1, d=96, seed=2)  # three words, v ends mid-word
+    @example(size=5, d=32, seed=3)  # pair edges on uint32 word edges
+    @example(size=5, d=64, seed=4)  # pair edges on uint64 word edges
+    @example(size=1, d=32, seed=5)  # v's half ends mid-uint64
+    @example(size=4096, d=800, seed=6)  # a full block of the bench's pairs
     def test_pair_numerators(self, size, d, seed):
         child = np.random.SeedSequence(seed)
         expected = generator_pair_numerators(np.random.default_rng(child), size, d)
