@@ -239,10 +239,16 @@ def cmd_nearset(args: argparse.Namespace) -> int:
         count = args.count if args.count is not None else 2 ** min(args.n, 64)
         check("AUDIT_MAX_COUNT", count, f"set mode's vector count (--count, or "
               f"2^n at --n {args.n})")
+        # the whole run is checked before its first set, and one set's own
+        # guards before the run's, so a set too wide names its own guard
+        check("MAX_COORDINATES", count * d, "the coordinates count * d of a set")
+        check("MAX_AUDIT_PRODUCTS", args.seeds * count * count * d,
+              "set mode's sign products --seeds * count^2 * d")
+        check("GRAM_MAX_COUNT", args.gram_size, "--gram-size")
         root = np.random.SeedSequence(args.seed)
         audits = []
         for child in root.spawn(args.seeds):
-            vset = sample_vector_set(count, d, child, delta_target=args.delta)
+            vset = sample_vector_set(count, d, child)
             audits.append(audit_overlaps(vset, args.delta).to_json())
         results = {
             "mode": "set",

@@ -73,10 +73,12 @@ def _gf2_rank(generator: np.ndarray, limit: int) -> int:
 class BinaryCode:
     """An encoder {0,1}^n -> {0,1}^m with a certified or declared distance.
 
-    ``generator`` is an (m, n) uint8 matrix over GF(2) for linear kinds;
-    ``encoder`` is a bit-string callable for the ``declared`` kind;
-    ``declared_delta`` is a claimed upper bound on the pairwise agreement
-    fraction of distinct codewords.
+    ``generator`` is an (m, n) uint8 matrix over GF(2) for the random-linear
+    and declared kinds; ``encoder`` is a bit-string callable for the
+    ``declared`` kind; ``declared_delta`` is a declared code's claimed upper
+    bound on the pairwise agreement fraction of distinct codewords; ``seed``
+    is a random-linear code's sampling seed.  A field that the kind does not
+    read raises ``DomainError``.
     """
 
     kind: str
@@ -96,7 +98,9 @@ class BinaryCode:
                 raise DomainError(
                     f"hadamard codes have m = 2^n; got m={self.m}, n={self.n}"
                 )
+            unread = ("generator", "encoder", "declared_delta", "seed")
         elif self.kind == RANDOM_LINEAR:
+            unread = ("encoder", "declared_delta")
             if self.generator is None:
                 raise DomainError("random-linear codes require a generator")
             if self.m % self.n != 0 or self.m // self.n < 2:
@@ -105,11 +109,15 @@ class BinaryCode:
                     f"got m={self.m}, n={self.n}"
                 )
         elif self.kind == DECLARED:
+            unread = ("seed",)
             if (self.encoder is None) == (self.generator is None):
                 raise DomainError("declared codes take exactly one codeword "
                                   "source: an encoder or a generator")
         else:
             raise DomainError(f"unknown code kind {self.kind!r}")
+        for name in unread:
+            if getattr(self, name) is not None:
+                raise DomainError(f"{self.kind} codes do not read {name}")
         if self.generator is not None:
             raw = np.asarray(self.generator)
             if raw.shape != (self.m, self.n) or not np.isin(raw, (0, 1)).all():
@@ -204,6 +212,8 @@ def random_linear_code(n: int, c: int, seed: int) -> BinaryCode:
     column rank, so encoding is injective by construction; ``BinaryCode``
     checks the rank.
     """
+    if n < 1:
+        raise DomainError(f"message length must be >= 1, got {n}")
     if c < 2:
         raise DomainError(f"rate multiple c must be >= 2, got c={c}")
     check("GENERATOR_MAX_ENTRIES", c * n * n, "random-linear generator entries c*n^2")

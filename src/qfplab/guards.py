@@ -54,6 +54,14 @@ GUARDS = {
     # 100000 pairs at d = 800; a run at the bound takes at most about 2 s (at
     # d = 1) on a 2-core box.
     "MAX_PAIR_COORDINATES": 1 << 28,
+    # Sign products of a whole set-mode run, seeds * count^2 * d: 2^37 is the
+    # largest single set the count and coordinate guards admit (2^14 vectors
+    # at d = 512), whose audit takes about 4 s single-threaded on a 2-core box.
+    "MAX_AUDIT_PRODUCTS": 1 << 37,
+    # Vectors of a Gram dominance check, which forms their float64 Gram and its
+    # SVD: about 0.7 s single-threaded at 2^10 vectors on a 2-core box (the
+    # largest count in use is 4).
+    "GRAM_MAX_COUNT": 1 << 10,
     # Work guard on set mode's audited sets: each costs at least about 0.2 ms on
     # a 2-core box, so the seeds loop takes no more than about 0.3 s of overhead.
     "MAX_SEEDS": 1 << 10,

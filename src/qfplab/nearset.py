@@ -68,7 +68,6 @@ class VectorSet:
     signs: np.ndarray
     d: int
     seed: int | None = None
-    delta_target: float | None = None
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.signs)
@@ -219,9 +218,7 @@ def _pcg64_words(root: np.random.SeedSequence, count: int, words: int) -> np.nda
     return out
 
 
-def sample_vector_set(
-    count: int, d: int, seed, delta_target: float | None = None
-) -> VectorSet:
+def sample_vector_set(count: int, d: int, seed) -> VectorSet:
     """count i.i.d. uniform sign vectors, one derived sub-seed per vector.
 
     Vector i reads ``PCG64(child).random_raw(ceil(d/8))`` for the i-th of
@@ -241,7 +238,7 @@ def sample_vector_set(
     top = raw.astype("<u8", copy=False).view(np.uint8)[:, :d] >> 7
     rows = top.astype(np.int8) * 2 - 1
     plain_seed = seed if isinstance(seed, int) else None
-    return VectorSet(signs=rows, d=d, seed=plain_seed, delta_target=delta_target)
+    return VectorSet(signs=rows, d=d, seed=plain_seed)
 
 
 @dataclass(frozen=True)
@@ -387,6 +384,7 @@ def gram_dominance_check(vectors: np.ndarray, delta: float) -> GramCheck:
     if v.ndim != 2:
         raise InputShapeError("vectors must form a 2-D (count, dim) array")
     a = v.shape[0]
+    check("GRAM_MAX_COUNT", a, "the vectors of a Gram dominance check")
     norms = np.linalg.norm(v, axis=1)
     if not np.allclose(norms, 1.0, atol=1e-9):
         raise InputShapeError("all vectors must have unit norm")

@@ -12,11 +12,11 @@ referee, who outputs "equal" or "unequal":
 
 A seeded block engine runs trials in blocks, one generator per block: a
 block's inputs are arrays, and each verdict is one uniform draw against
-``accept_probability``, the protocol's one accept law, at the pair's exact
-codeword agreement.  Messages stay (B, ceil(n/64)) uint64 words, the layout
-of ``codes._words``, from draw to verdict.  Reports carry the same law at
-the certified agreement bound.  ``_PROTOCOLS`` names the one repetition
-count and the one ``message_costs`` entry of each protocol.
+the protocol's accept law at the pair's exact codeword agreement.  Messages
+stay (B, ceil(n/64)) uint64 words, the layout of ``codes._words``, from draw
+to verdict.  Reports carry the same law at the certified agreement bound.
+``_PROTOCOLS`` is each protocol's one record: the repetition count it reads,
+its ``message_costs`` entry and its accept law, each stated there once.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ from .errors import ConfigError
 from .guards import check
 from .qstate import qubits_required
 
-# Protocol -> (the repetition count it reads, its key in message_costs).
-_PROTOCOLS = {
-    "quantum": ("k", "quantum_qubits"),
-    "shared-key": ("r", "shared_key_message_bits"),
-    "mixture": (None, "mixture_bits"),
-}
-PROTOCOLS = tuple(_PROTOCOLS)
-PAIR_SOURCES = ("random-pairs", "forced-equal", "forced-unequal", "adversarial-list")
-
 
 def _swap_p_one(agree, m):
     """1 - p_eq(1, a/m) = (m - a)(m + a)/(2m^2), exact for a Fraction ``agree``.
@@ -59,19 +50,26 @@ def _swap_p_one(agree, m):
     return (m - agree) * (m + agree) / (2 * m * m)
 
 
-def accept_probability(protocol_id: str, agree, m, reps: int | None):
-    """The referee's chance of saying equal on a pair agreeing at a of m bits.
+# Protocol -> (the repetition count it reads, its key in message_costs, its
+# accept law in (a, m, count): the referee's chance of saying equal on a pair
+# whose codewords agree at a of m bits, exact for a Fraction a and int m and
+# float64 for float64 ones).  A protocol that reads no count has no theory bound.
+_PROTOCOLS = {
+    # all k swap tests measure 0
+    "quantum": ("k", "quantum_qubits", lambda a, m, k: (1 - _swap_p_one(a, m)) ** k),
+    # the codewords agree at all r shared positions
+    "shared-key": ("r", "shared_key_message_bits", lambda a, m, r: (a / m) ** r),
+    # the two independent positions collide, with chance 1/m (the failure
+    # mode on display), and the bits there agree
+    "mixture": (None, "mixture_bits", lambda a, m, _: a / (m * m)),
+}
+PROTOCOLS = tuple(_PROTOCOLS)
+PAIR_SOURCES = ("random-pairs", "forced-equal", "forced-unequal", "adversarial-list")
 
-    Quantum: all k swap tests measure 0.  Shared-key: the codewords agree at
-    all r shared positions.  Mixture: the two independent positions collide,
-    with chance 1/m (the failure mode on display), and the bits there agree.
-    Exact for a Fraction ``agree`` and int ``m``; float64 for float64 ones.
-    """
-    if protocol_id == "quantum":
-        return (1 - _swap_p_one(agree, m)) ** reps
-    if protocol_id == "shared-key":
-        return (agree / m) ** reps
-    return agree / (m * m)
+
+def accept_probability(protocol_id: str, agree, m, reps: int | None):
+    """The referee's chance of saying equal on a pair agreeing at a of m bits."""
+    return _PROTOCOLS[protocol_id][2](agree, m, reps)
 
 
 def quantum_accept_probability(code: BinaryCode, x: str, y: str) -> Fraction:
@@ -182,10 +180,11 @@ def _power_float(p: Fraction, e: int) -> float:
 def _theory_bound(protocol_id: str, code: BinaryCode,
                   reps: int | None) -> float | None:
     """The accept law at the certified agreement bound, as a float."""
-    if protocol_id == "mixture":
+    reps_name, _, law = _PROTOCOLS[protocol_id]
+    if reps_name is None:
         return None
     agree = certify_distance(code).max_agreement * code.m
-    return _power_float(accept_probability(protocol_id, agree, code.m, 1), reps)
+    return _power_float(law(agree, code.m, 1), reps)
 
 
 def _sample_pairs(rng: np.random.Generator, pair_source: str, n: int, size: int,
@@ -218,17 +217,15 @@ def _sample_pairs(rng: np.random.Generator, pair_source: str, n: int, size: int,
     return x, y
 
 
-def _block_accepts(protocol_id: str, code: BinaryCode, x: np.ndarray,
-                   y: np.ndarray, rng: np.random.Generator,
-                   reps: int | None) -> np.ndarray:
+def _block_accepts(law, code: BinaryCode, x: np.ndarray, y: np.ndarray,
+                   rng: np.random.Generator, reps: int | None) -> np.ndarray:
     """The referee's verdicts on one block of pairs: True where it says equal.
 
     One uniform per trial against the law; agreements become floats before
     m + a is formed, since it reaches 2^64 at hadamard n = 63.
     """
     agree = _agreements(code, x, y).astype(np.float64)
-    law = accept_probability(protocol_id, agree, float(code.m), reps)
-    return rng.random(len(x)) < law
+    return rng.random(len(x)) < law(agree, float(code.m), reps)
 
 
 # Trials per block; each block draws from its own generator.  At 4096 the
@@ -259,7 +256,8 @@ def run_experiment(
     or pair source does not read raises ``ConfigError``; ``trials`` above
     ``guards.MAX_TRIALS``, a ``k`` or ``r`` above ``guards.MAX_REPETITIONS``,
     or a code past the certification guard raises ``CapabilityError``,
-    before any trial runs.
+    before any trial runs.  The code is certified only for a protocol with a
+    theory bound: a mixture run certifies nothing.
     """
     if protocol_id not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol_id!r}; expected {PROTOCOLS}")
@@ -270,9 +268,9 @@ def run_experiment(
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     check("MAX_TRIALS", trials, "trials (--trials)")
-    reps_name, cost_key = _PROTOCOLS[protocol_id]
+    reps_name, cost_key, law = _PROTOCOLS[protocol_id]
     counts = {"k": k, "r": r}
-    for owner, (name, _) in _PROTOCOLS.items():
+    for owner, (name, *_) in _PROTOCOLS.items():
         if name not in (None, reps_name) and counts[name] is not None:
             raise ConfigError(f"{name} (--{name}) is only read by the {owner} "
                               "protocol")
@@ -302,7 +300,7 @@ def run_experiment(
         rng = np.random.default_rng(np.random.SeedSequence((seed, block)))
         x, y = _sample_pairs(rng, pair_source, code.n,
                              min(BLOCK, trials - t0), t0, table)
-        accept = _block_accepts(protocol_id, code, x, y, rng, reps)
+        accept = _block_accepts(law, code, x, y, rng, reps)
         equal = (x == y).all(axis=1)
         n_equal += int(equal.sum())
         wrong_equal += int((equal & ~accept).sum())

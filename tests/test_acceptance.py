@@ -157,7 +157,7 @@ def test_criterion_7_random_vector_construction():
     d = required_dimension(8, 0.25)
     root = np.random.SeedSequence(1)
     for child in root.spawn(20):
-        vset = sample_vector_set(256, d, child, delta_target=0.25)
+        vset = sample_vector_set(256, d, child)
         assert audit_overlaps(vset, 0.25).violating_pairs == 0
 
     # sampled-pair violation rate stays under the concentration bound

@@ -1,12 +1,19 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qfplab.cli
 import qfplab.permtest
@@ -55,6 +62,17 @@ class TestSwapTest:
     def test_capability_guard_exit_3(self):
         code = main(["swap-test", "--n", "21", "--x", "0" * 21, "--x-equals-y"])
         assert code == EXIT_CAPABILITY
+
+    def test_circuit_past_the_state_guard_is_skipped(self, tmp_path):
+        # hadamard n = 10: D = 2^11 amplitudes, so the circuit's 2 D^2 is 2^23
+        report = run_json(tmp_path, [
+            "swap-test", "--n", "10", "--x", "0" * 10, "--y", "0" * 9 + "1",
+        ])
+        results = report["results"]
+        assert results["circuit"]["skipped"].endswith(
+            f"is above the guard MAX_STATE_DIM = {2**22}")
+        assert results["analytic"]["p_one"] == pytest.approx(0.375, abs=1e-12)
+        assert "circuit_vs_analytic" not in results
 
 
 class TestPermTest:
@@ -395,13 +413,17 @@ def test_negative_seed_exit_2(argv, flag, tmp_path, capsys):
      "= 100000000 is above the guard HADAMARD_MAX_N = 63"),
     (["codes", "--n", "1000000000"],
      "= 1000000000 is above the guard HADAMARD_MAX_N = 63"),
+    (["nearset", "--n", "2", "--delta", "0.00001", "--d", "1",
+      "--gram-size", "20000"], "guard GRAM_MAX_COUNT = 1024"),
+    (["nearset", "--n", "14", "--delta", "0.5", "--seeds", "1024"],
+     "guard MAX_AUDIT_PRODUCTS = 137438953472"),
 ], ids=["random-linear-generator", "nearset-set-delta", "nearset-set-d",
         "nearset-pair-block", "nearset-pair-run", "perm-test-trials",
         "swap-test-trials", "perm-test-float-k", "perm-test-huge-k",
         "nearset-delta-underflow", "nearset-dimension-overflow",
         "nearset-seeds", "nearset-set-count", "smp-run-trials",
         "nearset-n15000", "nearset-n1e9", "codes-hadamard-n1e8",
-        "codes-hadamard-n1e9"])
+        "codes-hadamard-n1e9", "nearset-gram-size", "nearset-audit-products"])
 def test_oversized_input_exit_3_fast(argv, guard, capsys):
     # refused before anything of that size is sampled or allocated
     start = time.perf_counter()
@@ -436,6 +458,70 @@ def test_module_runs_as_a_script():
     assert proc.returncode == EXIT_OK
     report = json.loads(proc.stdout)
     assert report["results"]["certificate"]["min_distance"] == 4
+
+
+# Every flag value the contract property draws: the fixed edge values and
+# the powers 2^k, negative k giving the floats 2^-1 .. 2^-8.
+FLAG_VALUES = st.sampled_from(
+    ["0", "-1", "1", "2", "15000", str(10**11), "1e-300", "nan", "inf", ""]
+) | st.integers(-8, 64).map(lambda k: str(2**k) if k >= 0 else str(2.0**k))
+SUBCOMMANDS = next(a for a in qfplab.cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+# Above the slowest request the guards admit: a 2^24-trial random-linear
+# smp-run, or a 2^14-vector set at d = 512, each up to about 5 s on a 2-core box.
+ALARM_S = 30
+
+
+class Alarm(Exception):
+    pass
+
+
+def raise_alarm(signum, frame):
+    raise Alarm
+
+
+@st.composite
+def subcommand_argv(draw):
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [name]
+    for action in SUBCOMMANDS[name]._actions:
+        if isinstance(action, argparse._HelpAction) or (
+                not action.required and draw(st.integers(0, 3))):
+            continue  # an optional flag is given one time in four
+        argv.append(action.option_strings[-1])
+        if action.nargs != 0:
+            values = FLAG_VALUES
+            if action.choices:
+                values = st.sampled_from(list(action.choices)) | values
+            argv.append(draw(values))
+    return argv
+
+
+@settings(max_examples=400)
+@given(argv=subcommand_argv())
+# two inputs that once broke the contract: a 1.8 GB Gram, and a random-linear
+# generator of negative size
+@example(argv=["nearset", "--n", "2", "--d", "1", "--delta", "1e-300",
+               "--gram-size", "15000"])
+@example(argv=["codes", "--code", "random-linear", "--n", "-1"])
+def test_every_flag_value_exits_0_2_or_3_in_time(argv):
+    # the CLI contract: any argv ends in one of the three exit codes, with no
+    # other exception, before the alarm; an --out report lands in a temporary
+    # directory
+    previous = signal.signal(signal.SIGALRM, raise_alarm)
+    signal.alarm(ALARM_S)
+    cwd = os.getcwd()
+    try:
+        with tempfile.TemporaryDirectory() as workdir, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            os.chdir(workdir)
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_CAPABILITY)
 
 
 class TestCodesCommand:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfplab import (
+    BinaryCode,
     CapabilityError,
     DomainError,
     InputShapeError,
@@ -465,6 +466,42 @@ class TestConstruction:
                           generator=np.array([[1, 0], [0, 1], [1, 1]]))
         with pytest.raises(DomainError, match="exactly one codeword source"):
             declared_code(2, 3, delta=Fraction(1, 2))
+
+    GENERATOR = np.array([[1, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
+    ROWS = ["1", "2", "3", "1"]  # the same generator as hex rows
+    # kind, the one field it does not read, and the code's other fields
+    UNREAD = [
+        ("hadamard", "generator", dict(generator=GENERATOR)),
+        ("hadamard", "encoder", dict(encoder=lambda x: x * 2)),
+        ("hadamard", "declared_delta", dict(declared_delta=Fraction(1, 2))),
+        ("hadamard", "seed", dict(seed=0)),
+        ("random-linear", "encoder",
+         dict(generator=GENERATOR, encoder=lambda x: x * 2)),
+        ("random-linear", "declared_delta",
+         dict(generator=GENERATOR, declared_delta=Fraction(0))),
+        ("declared", "seed", dict(generator=GENERATOR, seed=3)),
+    ]
+
+    @pytest.mark.parametrize("kind,name,fields", UNREAD,
+                             ids=[f"{k}-{n}" for k, n, _ in UNREAD])
+    def test_a_field_the_kind_does_not_read_is_rejected(self, kind, name,
+                                                        fields):
+        with pytest.raises(DomainError, match=f"{kind} codes do not read {name}$"):
+            BinaryCode(kind=kind, n=2, m=4, **fields)
+
+    @pytest.mark.parametrize("kind,name,extra", [
+        ("hadamard", "generator", {"generator": ROWS}),
+        ("hadamard", "declared_delta", {"declared_delta": "1/2"}),
+        ("hadamard", "seed", {"seed": 0}),
+        ("random-linear", "declared_delta",
+         {"generator": ROWS, "declared_delta": "0"}),
+        ("declared", "seed", {"generator": ROWS, "seed": 3}),
+    ], ids=["hadamard-generator", "hadamard-declared_delta", "hadamard-seed",
+            "random-linear-declared_delta", "declared-seed"])
+    def test_a_description_with_an_unread_field_is_rejected(self, kind, name,
+                                                           extra):
+        with pytest.raises(DomainError, match=f"{kind} codes do not read {name}$"):
+            code_from_json({"kind": kind, "n": 2, "m": 4, **extra})
 
     def test_random_linear_requires_c_at_least_two(self):
         with pytest.raises(DomainError):

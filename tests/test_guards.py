@@ -20,6 +20,7 @@ import qfplab
 from qfplab import (
     BinaryCode,
     CapabilityError,
+    InputShapeError,
     PureState,
     VectorSet,
     audit_overlaps,
@@ -114,6 +115,39 @@ def seeds_cli(mp, over):
     args.func(args)
 
 
+def set_coordinates_cli(mp, over):
+    # count * d: 2^3 * 2^20 = 2^23, then 2^23 + 8
+    mp.setattr(cli, "sample_vector_set", past_the_guard)
+    args = cli.build_parser().parse_args(
+        ["nearset", "--n", "3", "--delta", "0.5", "--d", str(2**20 + over)])
+    args.func(args)
+
+
+def audit_products_cli(mp, over):
+    # --seeds * count^2 * d: 2 * 2^28 * 256 = 2^37, then 2 * 2^28 * 257
+    mp.setattr(cli, "sample_vector_set", past_the_guard)
+    args = cli.build_parser().parse_args(
+        ["nearset", "--n", "14", "--delta", "0.5", "--seeds", "2",
+         "--d", str(256 + over)])
+    args.func(args)
+
+
+def gram_count_cli(mp, over):
+    mp.setattr(cli, "sample_vector_set", past_the_guard)
+    args = cli.build_parser().parse_args(
+        ["nearset", "--n", "2", "--delta", "0.0001", "--d", "1",
+         "--gram-size", str(1024 + over)])
+    args.func(args)
+
+
+def gram_count(mp, over):
+    # zero vectors fail the unit-norm check, the first work after the guard
+    try:
+        nearset.gram_dominance_check(np.zeros((1024 + over, 1)), 0.0001)
+    except InputShapeError:
+        raise PastTheGuard from None
+
+
 def trials(mp, over):
     mp.setattr(protocols, "_block_accepts", past_the_guard)
     run_experiment("mixture", hadamard_code(4), 2**24 + over, "random-pairs",
@@ -176,9 +210,13 @@ PROBES = {
     "audit_overlaps": ("AUDIT_MAX_COUNT", 2**14, audit_count),
     "nearset-set-mode": ("AUDIT_MAX_COUNT", 2**14, audit_count_cli),
     "sample_vector_set": ("MAX_COORDINATES", 2**23, set_coordinates),
+    "nearset-set-coordinates": ("MAX_COORDINATES", 2**23, set_coordinates_cli),
     "sample_pair_audit-block": ("MAX_COORDINATES", 2**23, pair_block),
     "sample_pair_audit-run": ("MAX_PAIR_COORDINATES", 2**28, pair_run),
     "nearset-seeds": ("MAX_SEEDS", 2**10, seeds_cli),
+    "nearset-products": ("MAX_AUDIT_PRODUCTS", 2**37, audit_products_cli),
+    "nearset-gram": ("GRAM_MAX_COUNT", 2**10, gram_count_cli),
+    "gram_dominance_check": ("GRAM_MAX_COUNT", 2**10, gram_count),
 }
 
 

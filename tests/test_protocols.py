@@ -194,6 +194,15 @@ class TestRunExperiment:
                              "forced-unequal", seed=2, r=10)
         assert rep.theory_error_bound == 2.0**-10
 
+    def test_only_a_protocol_with_a_theory_bound_certifies(self):
+        # random-linear n = 26 is past the certification guard; mixture, with
+        # no repetition count and so no bound, runs on it all the same
+        code = random_linear_code(26, 2, seed=0)
+        rep = run_experiment("mixture", code, 10, "random-pairs", seed=0)
+        assert rep.theory_error_bound is None
+        with pytest.raises(CapabilityError, match="CERTIFY_MAX_WORDS"):
+            run_experiment("shared-key", code, 10, "random-pairs", seed=0, r=1)
+
     def test_adversarial_list_cycles(self):
         code = hadamard_code(4)
         pairs = [("0000", "0001"), ("1111", "1111")]

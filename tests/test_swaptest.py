@@ -322,6 +322,13 @@ class TestRepetitions:
         if k > 1:
             assert q ** (k - 1) > eps
 
+    def test_log_estimate_lowered(self):
+        # ceil(log eps / log q) rounds up to 9, but q^8 already reaches eps
+        eps, delta = 0.17533844814095928, 0.7802862376631778
+        q = (1 + delta * delta) / 2
+        assert math.ceil(math.log(eps) / math.log(q)) == 9
+        assert repetitions_for_error(eps, delta) == 8
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             repetitions_for_error(0.1, 1.0)
