@@ -229,6 +229,10 @@ def cmd_nearset(args: argparse.Namespace) -> int:
             raise QfpError("--pairs is only read with --pair-mode")
         if args.n is None:
             raise QfpError("set mode requires --n")
+        if args.n < 1:  # n and delta are checked before any draw
+            raise QfpError(f"--n must be >= 1, got {args.n}")
+        if not 0.0 < args.delta < 1.0:
+            raise QfpError(f"--delta must lie in (0,1), got {args.delta}")
         if args.seeds < 1:
             raise QfpError(f"--seeds must be >= 1, got {args.seeds}")
         check("MAX_SEEDS", args.seeds, "--seeds")

@@ -33,7 +33,9 @@ GUARDS = {
     "MAX_PROJECTION_WORK": 2**26,
     # Sampled trials: numpy draws a binomial count as an int64.
     "MAX_SAMPLED_TRIALS": 2**63 - 1,
-    # Float closed form: every C(k, j)^2 converts to a float up to k = 516.
+    # Float closed form: its exact integer sum grows with k times the 108 bits
+    # of a float gamma's squared denominator (about 10 ms at k = 516 on a
+    # 2-core box); 516 is kept from an earlier float sum's range.
     "FLOAT_CLOSED_FORM_MAX_K": 516,
     # Guard on k and r, far past any useful count (the quantum bound (5/8)^k
     # of a hadamard code is 0.0 from k = 1586): the theory bound's bracketed

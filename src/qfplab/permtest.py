@@ -13,15 +13,17 @@ test's verdicts, a projection oracle that symmetrizes the actual 2k-register
 product state numerically (one register permutation per coset of
 S_k x S_k, not all (2k)!), the matching upper/lower/asymptotic bounds, the
 two-state discrimination optimum, and the worst-case product instance
-those bounds are tight against.
-"""
+those bounds are tight against.  The closed form and the upper and lower
+bounds are each stated once, over the rationals: an exact input (a Fraction
+or an int) gets the Fraction, and a float, itself a dyadic rational, gets
+its correctly rounded float."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb, cos, factorial, inf, log2, pi, sqrt
+from math import comb, log2, pi, sqrt
 
 import numpy as np
 
@@ -30,35 +32,79 @@ from .guards import check
 from .qstate import PureState, tensor, tensor_power
 
 
-def _as_fraction(value) -> Fraction | None:
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    return None
+_EXACT = (Fraction, int)
+
+
+def _check_args(k: int, name: str, value, low: int) -> None:
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    if not low <= value <= 1:  # also refuses NaN
+        raise DomainError(f"{name} must lie in [{low},1], got {value}")
 
 
 def p_eq_closed_form(k: int, gamma):
-    """Accept probability at overlap magnitude gamma; exact for rational gamma.
+    """Accept probability at overlap magnitude gamma, from one integer sum.
 
-    A float gamma takes a float sum, for k up to ``guards.FLOAT_CLOSED_FORM_MAX_K``;
-    where that sum passes the float range (gamma near 1 at k = 515, 516),
-    each term is scaled by the prefactor before it is summed.
-    """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if not 0 <= gamma <= 1:
-        raise DomainError(f"gamma must lie in [0,1], got {gamma}")
-    g = _as_fraction(gamma)
-    if g is None:
+    At x = gamma^2 = a/b the sum nests as 1 + (k/1)^2 x (1 + ((k-1)/2)^2 x (...
+    (1 + (1/k)^2 x))), each step a product by small integers, over (k!)^2 b^k.
+    A float gamma (k up to ``guards.FLOAT_CLOSED_FORM_MAX_K``) gets the exact
+    value's correctly rounded float."""
+    _check_args(k, "gamma", gamma, 0)
+    exact = isinstance(gamma, _EXACT)
+    if not exact:
         check("FLOAT_CLOSED_FORM_MAX_K", k, "the float closed form's k")
-    prefactor = Fraction(factorial(k) ** 2, factorial(2 * k))
-    if g is not None:
-        g2 = g * g
-        return prefactor * sum(comb(k, j) ** 2 * g2**j for j in range(k + 1))
-    g2 = float(gamma) ** 2
-    total = sum(comb(k, j) ** 2 * g2**j for j in range(k + 1))
-    if total == inf:
-        return sum(float(prefactor * comb(k, j) ** 2) * g2**j for j in range(k + 1))
-    return float(prefactor * Fraction(total))
+    g = Fraction(gamma)
+    a, b = g.numerator**2, g.denominator**2
+    num = den = 1
+    for j in range(k, 0, -1):
+        den *= j * j * b
+        num = den + (k - j + 1) ** 2 * a * num
+    den *= comb(2 * k, k)
+    return Fraction(num, den) if exact else num / den
+
+
+def _bracket(c: Fraction, p: Fraction, e: int, width: int, up: bool) -> float:
+    """A float bound on c p^e: below it, or above it if ``up``.
+
+    c's numerator, p and each product of the square-and-multiply chain are
+    kept as a ``width``-bit integer times a power of two, rounded down (or
+    up), and the last is divided by c's denominator in one correctly rounded
+    int division: the float of a value on that side of c p^e.
+    """
+    def rounded(mant: int, exp: int) -> tuple[int, int]:
+        shift = mant.bit_length() - width
+        if shift <= 0:
+            return mant, exp
+        return (-(-mant >> shift) if up else mant >> shift), exp + shift
+
+    shift = width + p.denominator.bit_length() - p.numerator.bit_length()
+    num = p.numerator << shift
+    base = (-(-num // p.denominator) if up else num // p.denominator), -shift
+    mant, exp = rounded(c.numerator, 0)
+    while e:
+        if e & 1:
+            mant, exp = rounded(mant * base[0], exp + base[1])
+        e >>= 1
+        if e:
+            base = rounded(base[0] * base[0], 2 * base[1])
+    if mant.bit_length() + exp <= -1075:  # below half the least subnormal
+        return 0.0
+    den = c.denominator
+    return mant / (den << -exp) if exp < 0 else (mant << exp) / den
+
+
+def _power_float(p: Fraction, e: int, c: Fraction = Fraction(1)) -> float:
+    """float(c * p**e) for 0 <= p <= 1, e >= 1 and c > 0, without the exact power.
+
+    The two ``_bracket`` bounds start at 128 bits; c p^e lies between them,
+    so once they round to one float c p^e rounds to it too.  Else the width
+    doubles, until they meet (at worst when they hold c's numerator times
+    p^e exactly).  Each try is O(log e) products of ``width`` bits.
+    """
+    width = 128
+    while (low := _bracket(c, p, e, width, False)) != _bracket(c, p, e, width, True):
+        width *= 2
+    return low
 
 
 def sample_rate(p, trials: int, seed) -> float:
@@ -110,42 +156,35 @@ def p_eq_projection(phi: PureState, psi: PureState, k: int) -> float:
 
 
 def p_eq_upper_bound(k: int, delta):
-    """(k!)^2/(2k)! * (1 + delta)^(2k); may exceed 1 and is still a bound.
+    """(k!)^2/(2k)! (1 + delta)^(2k) = (4^k/C(2k,k)) ((1 + delta)/2)^(2k).
 
-    A float delta returns the float of the exact value.  Since C(2k, k) >=
-    4^k/(2 sqrt k), that value is at most 2 sqrt(k) ((1 + delta)/2)^(2k); when
-    this bound, with a margin for the rounding of its logarithms, is below
-    half the least subnormal 2^-1075, the float is 0.0 and no exact power is
-    formed.
-    """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    d = _as_fraction(delta)
-    if d is not None:
-        return Fraction(factorial(k) ** 2, factorial(2 * k)) * (1 + d) ** (2 * k)
-    base = float(delta) + 1.0
-    if 0.0 < abs(base) < 2.0 and \
-            2 * k * log2(abs(base) / 2) * (1 - 1e-9) + log2(k) / 2 + 2 < -1075:
+    It may exceed 1 and is still a bound.  As C(2k, k) >= 4^k/(2 sqrt k), it
+    is at most 2 sqrt(k) ((1 + delta)/2)^(2k); when that, with a margin for
+    the rounding of its logarithms, is below half the least subnormal
+    2^-1075, a float delta gives 0.0 and C(2k, k) is never formed; any
+    other gets the exact value's correctly rounded float."""
+    _check_args(k, "delta", delta, -1)
+    p, e = (1 + Fraction(delta)) / 2, 2 * k
+    if not isinstance(delta, _EXACT) and 0 < p < 1 and \
+            e * log2(p) * (1 - 1e-9) + log2(k) / 2 + 2 < -1075:
         return 0.0
-    return float(Fraction(factorial(k) ** 2, factorial(2 * k))
-                 * Fraction(base) ** (2 * k))
+    c = Fraction(4**k, comb(2 * k, k))
+    return c * p**e if isinstance(delta, _EXACT) else _power_float(p, e, c)
 
 
 def p_eq_asymptotic(k: int, delta: float) -> float:
-    """sqrt(pi k) ((1 + delta)/2)^(2k); loose at small k, reported not asserted."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    """sqrt(pi k) ((1 + delta)/2)^(2k); loose at small k, reported not asserted.
+
+    It is irrational, so it has no exact value to round and stays in floats."""
+    _check_args(k, "delta", delta, -1)
     return sqrt(pi * k) * ((1.0 + float(delta)) / 2.0) ** (2 * k)
 
 
 def distinguisher_lower_bound(k: int, delta):
     """No test on k copies beats error 1/4 ((1 + delta)/2)^(2k)."""
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    d = _as_fraction(delta)
-    if d is not None:
-        return Fraction(1, 4) * ((1 + d) / 2) ** (2 * k)
-    return 0.25 * ((1.0 + float(delta)) / 2.0) ** (2 * k)
+    _check_args(k, "delta", delta, -1)
+    p, e, c = (1 + Fraction(delta)) / 2, 2 * k, Fraction(1, 4)
+    return c * p**e if isinstance(delta, _EXACT) else _power_float(p, e, c)
 
 
 def helstrom_error(overlap: float) -> float:
@@ -153,11 +192,11 @@ def helstrom_error(overlap: float) -> float:
 
     Equals (1 - sqrt(1 - overlap^2))/2, evaluated in the cancellation-free
     form overlap^2 / (2 (1 + sqrt(1 - overlap^2))) so the bound
-    result >= overlap^2/4 survives rounding near overlap = 0.
+    result >= overlap^2/4 survives rounding near overlap = 0.  It is
+    irrational in general, so it stays in floats.
     """
     c = float(overlap)
-    if not 0.0 <= c <= 1.0:
-        raise DomainError(f"overlap must lie in [0,1], got {overlap}")
+    _check_args(1, "overlap", c, 0)
     return c * c / (2.0 * (1.0 + sqrt(max(0.0, 1.0 - c * c))))
 
 
@@ -171,10 +210,7 @@ def build_hard_instance(
     their mutual overlap is delta.  The branches then meet at overlap
     ((1 + delta)/2)^k, which is verified against the built vectors.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must lie in [0,1], got {delta}")
+    _check_args(k, "delta", delta, 0)
     c = sqrt((1.0 + delta) / 2.0)  # cos(theta/2) with theta = arccos(delta)
     s = sqrt((1.0 - delta) / 2.0)
     zero = PureState(np.array([1.0, 0.0]), (2,))
@@ -193,8 +229,7 @@ def build_hard_instance(
 
 def overlap_qubit_pair(gamma: float) -> tuple[PureState, PureState]:
     """A fixed qubit pair with real overlap gamma, for oracle grids."""
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"gamma must lie in [0,1], got {gamma}")
+    _check_args(1, "gamma", gamma, 0)
     phi = PureState(np.array([1.0, 0.0]), (2,))
     psi = PureState(np.array([gamma, sqrt(max(0.0, 1.0 - gamma * gamma))]), (2,))
     return phi, psi

@@ -37,17 +37,9 @@ from .codes import (
 )
 from .errors import ConfigError
 from .guards import check
+from .permtest import _power_float
 from .qstate import qubits_required
-
-
-def _swap_p_one(agree, m):
-    """1 - p_eq(1, a/m) = (m - a)(m + a)/(2m^2), exact for a Fraction ``agree``.
-
-    In float64 every factor and product is exact while m <= 2^26, so each
-    value is the exact rational correctly rounded; hadamard agreements (m/2
-    or m) are exact at every m.
-    """
-    return (m - agree) * (m + agree) / (2 * m * m)
+from .swaptest import _swap_p_one
 
 
 # Protocol -> (the repetition count it reads, its key in message_costs, its
@@ -132,49 +124,6 @@ class ExperimentReport:
         row = ("" if v is None else repr(v) if isinstance(v, float) else str(v)
                for v in columns.values())
         return ",".join(columns) + "\n" + ",".join(row) + "\n"
-
-
-def _bracket(p: Fraction, e: int, width: int, up: bool) -> float:
-    """A float bound on p^e: below it, or above it if ``up``.
-
-    p and each product of the square-and-multiply chain are kept as a
-    ``width``-bit integer times a power of two, rounded down (or up), so the
-    bound's float is correctly rounded from a value on that side of p^e.
-    """
-    def rounded(mant: int, exp: int) -> tuple[int, int]:
-        shift = mant.bit_length() - width
-        if shift <= 0:
-            return mant, exp
-        return (-(-mant >> shift) if up else mant >> shift), exp + shift
-
-    shift = width + p.denominator.bit_length() - p.numerator.bit_length()
-    num = p.numerator << shift
-    base = (-(-num // p.denominator) if up else num // p.denominator), -shift
-    mant, exp = 1, 0
-    while e:
-        if e & 1:
-            mant, exp = rounded(mant * base[0], exp + base[1])
-        e >>= 1
-        if e:
-            base = rounded(base[0] * base[0], 2 * base[1])
-    if mant.bit_length() + exp <= -1075:  # below half the least subnormal
-        return 0.0
-    return mant / (1 << -exp) if exp < 0 else float(mant << exp)
-
-
-def _power_float(p: Fraction, e: int) -> float:
-    """float(p**e) for 0 <= p <= 1 and e >= 1, without the exact power.
-
-    The two ``_bracket`` bounds start at 128 bits; p^e lies between them,
-    so once they round to one float p^e rounds to it too.  Else the width
-    doubles, until they meet (at worst when it holds p^e exactly).  Each
-    try is O(log e) products of ``width`` bits, where the exact power has
-    e times the bits of p.
-    """
-    width = 128
-    while (low := _bracket(p, e, width, False)) != _bracket(p, e, width, True):
-        width *= 2
-    return low
 
 
 def _theory_bound(protocol_id: str, code: BinaryCode,

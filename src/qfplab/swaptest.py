@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, InputShapeError
 from .guards import check
-from .permtest import p_eq_closed_form
+from .permtest import _EXACT, _check_args, p_eq_closed_form
 from .qstate import PureState
 
 _HALF_TOL = 1e-12
@@ -58,15 +58,25 @@ class SwapTestResult:
         return {"p_one": self.p_one, "method": self.method}
 
 
-def p_one_for_overlap(overlap):
-    """1 - p_eq(1, |overlap|) = (1 - |overlap|^2)/2; exact for a Fraction.
+def _swap_p_one(agree, m):
+    """1 - p_eq(1, a/m) = (m - a)(m + a)/(2m^2), exact for a Fraction ``agree``.
 
-    A float overlap is clamped to at most 1, since a rounded inner product
-    of identical states may exceed it.
+    In float64 every factor and product is exact while m <= 2^26, so each
+    value is the exact rational correctly rounded; hadamard agreements (m/2
+    or m) are exact at every m.
     """
-    if not isinstance(overlap, Fraction):
-        overlap = min(float(abs(overlap)), 1.0)
-    return 1 - p_eq_closed_form(1, abs(overlap))
+    return (m - agree) * (m + agree) / (2 * m * m)
+
+
+def p_one_for_overlap(overlap):
+    """p(1) = (1 - |overlap|^2)/2, exact for a Fraction or an int, else rounded
+    once.  A float overlap is clamped to at most 1, since a rounded inner
+    product of identical states may exceed it."""
+    exact = isinstance(overlap, _EXACT)
+    g = abs(overlap) if exact else min(float(abs(overlap)), 1.0)
+    _check_args(1, "overlap magnitude", g, 0)
+    p_one = _swap_p_one(Fraction(g), 1)
+    return p_one if exact else float(p_one)
 
 
 def swap_test_analytic(phi: PureState, psi: PureState) -> SwapTestResult:

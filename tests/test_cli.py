@@ -285,6 +285,22 @@ class TestNearset:
     def test_delta_out_of_domain_exit_2(self):
         assert main(["nearset", "--n", "4", "--delta", "1.5"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "1", "--d", "4194304", "--delta", "15000"],
+         "--delta must lie in (0,1), got 15000.0"),
+        (["--n", "0", "--count", "4", "--d", "8", "--delta", "0.5"],
+         "--n must be >= 1, got 0"),
+        (["--n", "-1", "--d", "8", "--delta", "0.5"],
+         "--n must be >= 1, got -1"),
+    ], ids=["delta-15000-d-2^22", "n-0-with-count-and-d", "n-minus-1-with-d"])
+    def test_set_mode_checks_n_and_delta_before_any_draw(self, argv, message,
+                                                         capsys):
+        start = time.perf_counter()
+        code = main(["nearset"] + argv)
+        assert time.perf_counter() - start < 0.05
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("size", ["1", "-1"])
     def test_gram_size_below_two_exit_2(self, size, tmp_path, capsys):
         path = tmp_path / "report"
@@ -504,6 +520,14 @@ def subcommand_argv(draw):
 @example(argv=["nearset", "--n", "2", "--d", "1", "--delta", "1e-300",
                "--gram-size", "15000"])
 @example(argv=["codes", "--code", "random-linear", "--n", "-1"])
+# set mode, which random argv seldom reaches: it needs --n, --d and a --delta
+# in (0, 1) together
+@example(argv=["nearset", "--n", "1", "--d", "4194304", "--delta", "15000"])
+@example(argv=["nearset", "--n", "0", "--count", "4", "--d", "8",
+               "--delta", "0.5"])
+@example(argv=["nearset", "--n", "-1", "--d", "8", "--delta", "0.5"])
+@example(argv=["nearset", "--n", "2", "--count", "64", "--d", "64",
+               "--delta", "0.5", "--seeds", "2", "--gram-size", "4"])
 def test_every_flag_value_exits_0_2_or_3_in_time(argv):
     # the CLI contract: any argv ends in one of the three exit codes, with no
     # other exception, before the alarm; an --out report lands in a temporary

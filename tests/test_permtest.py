@@ -7,6 +7,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfplab import (
     CapabilityError,
@@ -72,10 +74,9 @@ class TestClosedForm:
     @pytest.mark.parametrize("k", [515, 516])
     @pytest.mark.parametrize("gamma", [0.5, 0.9999, 1.0])
     def test_float_route_up_to_its_guard(self, k, gamma):
-        # at gamma near 1 the plain float sum passes the float range at
-        # k = 515, 516, and the terms are scaled before they are summed
+        # the float is the exact value rounded once, up to the guard
         exact = float(p_eq_closed_form(k, Fraction(gamma)))
-        assert p_eq_closed_form(k, gamma) == pytest.approx(exact, rel=1e-12)
+        assert p_eq_closed_form(k, gamma) == exact
 
     def test_float_route_guard_precedes_the_factorials(self):
         start = time.perf_counter()
@@ -97,6 +98,34 @@ class TestClosedForm:
         for g in GAMMA_GRID:
             vals = [p_eq_closed_form(k, g) for k in range(1, 12)]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+def prefactor(k):
+    return Fraction(math.factorial(k) ** 2, math.factorial(2 * k))
+
+
+# each function of a float, its plain Fraction evaluation, and its input's
+# lower end
+ROUNDED_ONCE = {
+    "p_eq_closed_form": (p_eq_closed_form, lambda k, g: prefactor(k) * sum(
+        math.comb(k, j) ** 2 * g ** (2 * j) for j in range(k + 1)), 0.0),
+    "p_eq_upper_bound": (
+        p_eq_upper_bound, lambda k, d: prefactor(k) * (1 + d) ** (2 * k), -1.0),
+    "distinguisher_lower_bound": (
+        distinguisher_lower_bound, lambda k, d: ((1 + d) / 2) ** (2 * k) / 4,
+        -1.0),
+    "p_one_for_overlap": (
+        lambda k, g: p_one_for_overlap(g), lambda k, g: (1 - g * g) / 2, 0.0),
+}
+
+
+@settings(max_examples=300)
+@given(name=st.sampled_from(sorted(ROUNDED_ONCE)), k=st.integers(1, 40),
+       data=st.data())
+def test_float_input_returns_the_exact_value_rounded_once(name, k, data):
+    function, exact, low = ROUNDED_ONCE[name]
+    x = data.draw(st.floats(low, 1.0), label="x")
+    assert function(k, x) == float(exact(k, Fraction(x)))
 
 
 class TestProjectionOracle:
@@ -205,7 +234,7 @@ class TestBounds:
     def test_upper_bound_float_matches_exact_route(self, delta, first):
         def exact(k):
             return float(Fraction(math.factorial(k) ** 2, math.factorial(2 * k))
-                         * Fraction(delta + 1.0) ** (2 * k))
+                         * (1 + Fraction(delta)) ** (2 * k))
         assert exact(first - 1) > 0.0 == exact(first)
         for k in (1, 2, 10, 100, first - 2, first - 1, first, first + 1,
                   first + 5, 2 * first, 10**4):
@@ -226,6 +255,14 @@ class TestBounds:
         )
         assert abs(ratio - 1.0) <= 0.02
         assert abs(1.0 / ratio - 1.0) <= 0.02
+
+    @pytest.mark.parametrize("bound", [
+        p_eq_upper_bound, distinguisher_lower_bound, p_eq_asymptotic])
+    @pytest.mark.parametrize("delta", [
+        math.nan, math.inf, -math.inf, 2.0, -1.5, Fraction(3, 2)])
+    def test_meaningless_delta_rejected(self, bound, delta):
+        with pytest.raises(DomainError, match=r"delta must lie in \[-1,1\]"):
+            bound(3, delta)
 
     def test_lower_bound_examples(self):
         assert distinguisher_lower_bound(1, Fraction(0)) == Fraction(1, 16)
