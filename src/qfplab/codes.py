@@ -10,10 +10,14 @@ Three code families are supported:
   the pairwise agreement fraction.
 
 Distance certification is exact: closed form for hadamard codes, the
-minimum nonzero weight from one numpy pass over span tables of the codewords
-for codes with a generator (no weight histogram is built), pairwise
-comparison for a bare declared encoder, each of the last two within a bound
-on its word operations.
+minimum nonzero weight for codes with a generator, pairwise comparison for a
+bare declared encoder, each of the last two within a bound on its word
+operations.  The minimum weight comes from a Brouwer–Zimmermann search over
+disjoint information sets, which forms codewords by message weight and stops
+once a lower bound on every codeword not yet formed meets the lightest one
+found, and which hands a small code, or one whose bound would need too many
+levels, to one numpy pass over span tables of all 2^n codewords (no weight
+histogram is built either way).
 Agreement fractions are exact rationals throughout; hadamard agreements are
 in closed form.
 """
@@ -22,10 +26,11 @@ from __future__ import annotations
 
 import operator
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import floor
+from math import comb, floor
 from typing import Callable
 
 import numpy as np
@@ -39,6 +44,13 @@ DECLARED = "declared"
 
 # Packed words (128 KB) in the enumerator's table of low-bit codewords.
 _TABLE_WORDS = 2**14
+# Codeword words past which a minimum distance is first sought by information
+# sets: a span pass over 2^16 words takes about 0.15 ms on a 2-core box, and
+# the search's first set and level alone take about half of that.
+_SEARCH_WORDS = 2**16
+# Packed words (4 MiB) that one level of the information-set search may hold:
+# random-linear n = 24, c = 4 needs its weight-5 level of 340,032 words.
+_LEVEL_WORDS = 2**19
 _HEX_ROW = re.compile(r"[0-9a-fA-F]+")
 _HADAMARD_N = "hadamard n (positions are 64-bit words)"
 
@@ -413,8 +425,130 @@ def _weight_distribution(code: BinaryCode) -> np.ndarray:
     return counts
 
 
+def _unit_block(block: int, n: int, width: int, free: int) -> tuple[int, int]:
+    """Pivot n codewords on a maximal independent set of the free rows.
+
+    The codewords are packed in one int, ``width`` bits each (codeword i
+    from bit i * width), and ``free`` marks their free rows.  Codeword i,
+    if it is 1 on some free row, pivots on the one in its lowest bit: it is
+    XORed into every other codeword that is 1 there, all at once, as it
+    times the int with a 1 in the slot of each of them.  A codeword with no
+    free row has none after later pivots either, so the pivot rows are a
+    maximal independent set of the free rows; the pivot codewords form a
+    unit block on them and the others are 0 there.  These are the codewords
+    of a new message basis.  Returns them and the rows left free.
+    """
+    mask = (1 << width) - 1
+    ones = ((1 << n * width) - 1) // mask  # a 1 in each slot
+    for i in range(n):
+        column = (block >> i * width) & mask
+        if lowest := column & free:
+            row = (lowest & -lowest).bit_length() - 1
+            others = ((block >> row) & ones) ^ (1 << i * width)  # 1 per slot
+            block ^= column * others
+            free ^= 1 << row
+    return block, free
+
+
+def _weights(words: np.ndarray, m: int) -> np.ndarray:
+    """The weight of each codeword of length m in a word-major (words, ...)
+    array, summed in uint8 while every weight fits (m < 256)."""
+    return np.bitwise_count(words).sum(axis=0, dtype=np.uint8 if m < 256 else np.intp)
+
+
+def _information_set_min_weight(code: BinaryCode, budget: int) -> int | None:
+    """The minimum distance by the Brouwer–Zimmermann search, or None.
+
+    ``_unit_block`` takes disjoint information sets greedily, each with its
+    defect n - rank.  Each set enumerates its messages by weight w = 1, 2,
+    ...: the weight-w level sets one bit above the highest bit of each
+    weight-(w-1) message, so each set's codewords are one gather of the
+    parent codewords XOR one gather of the columns.  Once every level below
+    w is formed, a codeword not yet formed has at least w message bits in
+    every set's basis, so at least w - defect ones on each set's rows: with
+    the sets disjoint, its weight is at least sum_j max(0, w - defect_j).
+    The search stops when that bound reaches the lightest codeword formed.
+    A set adds to the bound by then only if its defect is at most the last
+    level, so no other set is searched, and at the last level each set
+    searched adds one, so only as many as the bound still lacks are.
+
+    The levels are counted before any is formed, from the lightest
+    codeword so far (a lighter one only cuts them).  None hands the code
+    over to the span pass when they would form more than ``budget``
+    codewords, also while the sets are built as if every n rows still free
+    made a full-rank set, or when the next level would hold more than
+    ``_LEVEL_WORDS`` words.
+    """
+    words, n = -(-code.m // 64), code.n
+    # the generator columns, the codewords of the unit messages, one per slot
+    unit = _packed_words(code.generator.T).astype("<u8", copy=False)
+    block = int.from_bytes(unit.tobytes(), "little")
+    free = (1 << code.m) - 1  # rows that no earlier set took
+    defects, blocks, least = [], [], code.m
+
+    def plan(w: int, defects: list[int]) -> list[int]:
+        """The sets to search at each level from w on, with all below formed."""
+        def bound(v: int) -> int:
+            return sum(v - d for d in defects if d < v)
+        last = w - 1
+        while last < n and bound(last + 1) < least:
+            last += 1
+        if last < w:
+            return []
+        sets = bisect_right(defects, last)
+        return [sets] * (last - w) + [min(sets, least - bound(last))]
+
+    def over_budget(defects: list[int]) -> bool:
+        return sum(s * comb(n, v) for v, s in enumerate(plan(2, defects), 2)) > budget
+
+    # a set has no more rows than are free; the first has n rows
+    while (len(blocks) + 1) * n * words <= _LEVEL_WORDS and \
+            n - free.bit_count() < least:
+        block, left = _unit_block(block, n, 64 * words, free)
+        defect = n - (free ^ left).bit_count()
+        if defect >= min(n, least):  # no row taken, or no use to the bound
+            break
+        packed = block.to_bytes(8 * n * words, "little")
+        blocks.append(np.frombuffer(packed, "<u8").reshape(n, words).T)
+        defects.append(defect)
+        least = min(least, int(_weights(blocks[-1], code.m).min()))
+        free = left
+        if over_budget(defects + [0] * (free.bit_count() // n)):
+            return None
+    if not blocks or over_budget(defects):
+        return None
+    columns = level = np.stack(blocks, axis=1)  # (words, sets, n): weight 1
+    high = np.arange(n)  # the highest bit of each message of the level
+    for w in range(2, n + 1):
+        sets = plan(w, defects)
+        if not sets:
+            break
+        if sets[0] * comb(n, w) * words > _LEVEL_WORDS:
+            return None
+        children = n - 1 - high
+        parent = np.repeat(np.arange(len(high)), children)
+        first = np.cumsum(children) - children  # each parent's first child
+        high = np.arange(len(parent)) - np.repeat(first - high - 1, children)
+        level = np.take(level[:, :sets[0]], parent, axis=-1)
+        level ^= np.take(columns[:, :sets[0]], high, axis=-1)
+        least = min(least, int(_weights(level, code.m).min()))
+    return least
+
+
 def _min_weight(code: BinaryCode) -> int:
-    """The smallest weight of a nonzero codeword: the code's minimum distance."""
+    """The smallest weight of a nonzero codeword: the code's minimum distance.
+
+    A code whose 2^n codewords hold at most ``_SEARCH_WORDS`` words reads
+    them all in the span pass of ``_codeword_weights``.  Any other code
+    first runs the information-set search, which forms at most 2^n / 4
+    codewords past its weight-1 level, each costing about four of the span
+    pass's; if it hands over, the span pass reads all 2^n, so the worst
+    case is about twice the span pass.
+    """
+    if -(-code.m // 64) << code.n > _SEARCH_WORDS:
+        least = _information_set_min_weight(code, 1 << code.n >> 2)
+        if least is not None:
+            return least
     chunks = _codeword_weights(code)
     least = int(next(chunks)[1:].min(initial=code.m))
     for weights in chunks:
@@ -436,11 +570,13 @@ def certify_distance(code: BinaryCode) -> DistanceCertificate:
     """Exact minimum Hamming distance over all distinct codeword pairs.
 
     Hadamard codes have distance m/2 in closed form; other codes with a
-    generator take the smallest weight of a nonzero codeword, read in one
-    pass over the span tables of their codewords;
-    declared codes with a claimed delta return it verbatim; a declared
-    encoder without a claim is compared pairwise.  Past the word-operation
-    guard a code is rejected with instructions to declare a bound instead.
+    generator take the smallest weight of a nonzero codeword, found by the
+    information-set search of ``_min_weight`` or, when it hands over, read
+    in one pass over the span tables of all their codewords; declared codes
+    with a claimed delta return it verbatim; a declared encoder without a
+    claim is compared pairwise.  Past the word-operation guard, which bounds
+    the span pass, a code is rejected with instructions to declare a bound
+    instead.
     """
     if code.kind == DECLARED and code.declared_delta is not None:
         agree = floor(code.declared_delta * code.m)

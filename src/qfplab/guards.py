@@ -18,8 +18,10 @@ GUARDS = {
     "MAX_STATE_DIM": 1 << 22,
     "MAX_FINGERPRINT_M": 1 << 20,
     # Most 64-bit word operations an exact certificate may take: 2^n * ceil(m/64)
-    # for the minimum-weight pass (random-linear n = 24, c = 3 takes 31 ms on a
-    # 2-core box), C(2^n, 2) * ceil(m/64) for the pairwise comparison.
+    # for the span pass that the minimum-weight search hands over to (it takes
+    # about 31 ms at random-linear n = 24, c = 3, whose information-set search
+    # stops after about 1.5 ms on a 2-core box), C(2^n, 2) * ceil(m/64) for the
+    # pairwise comparison.
     "CERTIFY_MAX_WORDS": 2**25,
     # Entries c*n^2 of a sampled random-linear generator (1 MB of uint8).
     "GENERATOR_MAX_ENTRIES": 2**20,
@@ -37,6 +39,11 @@ GUARDS = {
     # of a float gamma's squared denominator (about 10 ms at k = 516 on a
     # 2-core box); 516 is kept from an earlier float sum's range.
     "FLOAT_CLOSED_FORM_MAX_K": 516,
+    # Float upper bound p_eq_upper_bound: unless its float underflows it forms
+    # C(2k, k) exactly, which grows about as k^2 (about 15 ms at k = 2^13 and
+    # 40 ms at 2^14 on a 2-core box).  The limit is past every k at which a
+    # float delta <= 0.8 still gives a positive bound (3559 at delta = 0.8).
+    "FLOAT_UPPER_BOUND_MAX_K": 1 << 13,
     # Guard on k and r, far past any useful count (the quantum bound (5/8)^k
     # of a hadamard code is 0.0 from k = 1586): the theory bound's bracketed
     # power takes tens of µs at 2^22 on a 2-core box, and each trial draws

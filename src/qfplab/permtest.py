@@ -155,21 +155,32 @@ def p_eq_projection(phi: PureState, psi: PureState, k: int) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def _half_plus(delta) -> Fraction:
+    """(1 + delta)/2 exactly; a float's from its integer ratio a/b, as (a + b)/2b."""
+    if isinstance(delta, _EXACT):
+        return (1 + Fraction(delta)) / 2
+    a, b = delta.as_integer_ratio()
+    return Fraction(a + b, 2 * b)
+
+
 def p_eq_upper_bound(k: int, delta):
     """(k!)^2/(2k)! (1 + delta)^(2k) = (4^k/C(2k,k)) ((1 + delta)/2)^(2k).
 
     It may exceed 1 and is still a bound.  As C(2k, k) >= 4^k/(2 sqrt k), it
     is at most 2 sqrt(k) ((1 + delta)/2)^(2k); when that, with a margin for
     the rounding of its logarithms, is below half the least subnormal
-    2^-1075, a float delta gives 0.0 and C(2k, k) is never formed; any
-    other gets the exact value's correctly rounded float."""
+    2^-1075, a float delta gives 0.0 and C(2k, k) is never formed.  Any
+    other float delta (k up to ``guards.FLOAT_UPPER_BOUND_MAX_K``) gets the
+    exact value's correctly rounded float."""
     _check_args(k, "delta", delta, -1)
-    p, e = (1 + Fraction(delta)) / 2, 2 * k
-    if not isinstance(delta, _EXACT) and 0 < p < 1 and \
-            e * log2(p) * (1 - 1e-9) + log2(k) / 2 + 2 < -1075:
-        return 0.0
+    p, e, exact = _half_plus(delta), 2 * k, isinstance(delta, _EXACT)
+    if not exact:
+        if 0 < p.numerator < p.denominator and \
+                e * log2(p) * (1 - 1e-9) + log2(k) / 2 + 2 < -1075:
+            return 0.0
+        check("FLOAT_UPPER_BOUND_MAX_K", k, "the float upper bound's k")
     c = Fraction(4**k, comb(2 * k, k))
-    return c * p**e if isinstance(delta, _EXACT) else _power_float(p, e, c)
+    return c * p**e if exact else _power_float(p, e, c)
 
 
 def p_eq_asymptotic(k: int, delta: float) -> float:
@@ -183,7 +194,7 @@ def p_eq_asymptotic(k: int, delta: float) -> float:
 def distinguisher_lower_bound(k: int, delta):
     """No test on k copies beats error 1/4 ((1 + delta)/2)^(2k)."""
     _check_args(k, "delta", delta, -1)
-    p, e, c = (1 + Fraction(delta)) / 2, 2 * k, Fraction(1, 4)
+    p, e, c = _half_plus(delta), 2 * k, Fraction(1, 4)
     return c * p**e if isinstance(delta, _EXACT) else _power_float(p, e, c)
 
 

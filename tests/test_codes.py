@@ -27,6 +27,7 @@ from qfplab import (
 from qfplab.codes import (
     _agreements,
     _codeword_bits,
+    _information_set_min_weight,
     _min_weight,
     _packed_words,
     _weight_distribution,
@@ -345,6 +346,90 @@ class TestMinWeight:
         gen[:3 * (n - 1), :n - 1] = np.tile(np.eye(n - 1, dtype=np.uint8), (3, 1))
         gen[3 * (n - 1), n - 1] = 1
         assert _min_weight(declared_code(n, m, generator=gen)) == 1
+
+
+def degenerate_rows(draw, n, count):
+    """Rows that split into information sets of every rank: zero rows,
+    copies of one row, rows from a rank-1 or rank-2 subspace, and dense or
+    sparse random rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    while count > 0:
+        k = draw(st.integers(1, count))
+        kind = draw(st.sampled_from(["zero", "copies", "low-rank", "random"]))
+        if kind == "zero":
+            rows = np.zeros((k, n), dtype=np.uint8)
+        elif kind == "copies":
+            rows = np.repeat(rng.integers(0, 2, (1, n), dtype=np.uint8), k, axis=0)
+        elif kind == "low-rank":
+            span = rng.integers(0, 2, (draw(st.integers(1, 2)), n))
+            rows = (rng.integers(0, 2, (k, len(span))) @ span % 2).astype(np.uint8)
+        else:
+            rows = (rng.random((k, n)) < draw(st.floats(0.0, 1.0))).astype(np.uint8)
+        blocks.append(rows)
+        count -= k
+    return blocks
+
+
+@st.composite
+def degenerate_generators(draw):
+    n = draw(st.integers(1, 10))
+    m = max(n, draw(st.one_of(st.integers(1, 64), st.integers(65, 255),
+                              st.integers(256, 320))))
+    gen = np.vstack([np.eye(n, dtype=np.uint8), *degenerate_rows(draw, n, m - n)])
+    if draw(st.booleans()):
+        gen = gen[np.random.default_rng(draw(st.integers(0, 99))).permutation(m)]
+    return declared_code(n, m, generator=gen)
+
+
+class TestInformationSetSearch:
+    # called directly, with a budget that never hands over, so that small n
+    # (which the span pass certifies in _min_weight) checks the search itself
+    @settings(max_examples=60, deadline=None)
+    @given(code=degenerate_generators())
+    def test_matches_brute_force(self, code):
+        counts = reference_weight_distribution(code)
+        least = _information_set_min_weight(code, 2**40)
+        assert least == int(np.flatnonzero(counts[1:])[0]) + 1
+
+    # dense codes whose lightest codeword often has 2 to 4 message bits in
+    # every set's basis, so that a bound too high by one stops too early
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_matches_brute_force_on_random_linear_codes(self, n):
+        for c, seed in itertools.product((2, 3, 4), range(8)):
+            code = random_linear_code(n, c, seed)
+            counts = reference_weight_distribution(code)
+            least = _information_set_min_weight(code, 2**40)
+            assert least == int(np.flatnonzero(counts[1:])[0]) + 1, (c, seed)
+
+    def test_a_set_whose_defect_is_the_last_level_is_searched(self):
+        # three sets, of defects 0, 2 and 3; the lightest weight-1 codeword
+        # has weight 4, so the bound needs levels up to 2, and the defect-2
+        # set adds one to it at the stop.  Only that set's weight-2 level
+        # holds the codeword of weight 3.
+        rows = ["0101000", "0110010", "0000111", "0010001", "1110010",
+                "0001011", "0101000", "1001100", "1101111", "1000000",
+                "0100000", "0010000", "0001000", "0000100", "0000010",
+                "0000001"]
+        gen = np.array([[int(b) for b in r] for r in rows])
+        code = declared_code(7, 16, generator=gen)
+        assert pairwise_min_distance(code) == 3
+        assert _information_set_min_weight(code, 2**40) == 3
+
+    # identity rows and 248 dense rows: after the first set the lightest
+    # codeword has weight 111, and even 16 full-rank sets would need levels
+    # past the budget of 2^16 / 4 codewords, so the search hands over; the
+    # n = 20 code stops after one set's weight-3 level
+    @pytest.mark.parametrize("n, m, hands_over", [(16, 264, True), (20, 60, False)])
+    def test_hands_over_to_the_span_pass(self, n, m, hands_over):
+        rng = np.random.default_rng(9)
+        gen = np.vstack([np.eye(n, dtype=np.uint8),
+                         rng.integers(0, 2, (m - n, n), dtype=np.uint8)])
+        code = declared_code(n, m, generator=gen)
+        found = _information_set_min_weight(code, 2**n // 4)
+        assert (found is None) == hands_over
+        least = int(np.flatnonzero(_weight_distribution(code)[1:])[0]) + 1
+        assert _min_weight(code) == least and found in (None, least)
 
 
 def test_weight_distribution_peak_memory_near_generator_size():

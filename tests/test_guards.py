@@ -30,6 +30,7 @@ from qfplab import (
     hadamard_code,
     make_fingerprint,
     p_eq_closed_form,
+    p_eq_upper_bound,
     p_eq_projection,
     random_linear_code,
     run_experiment,
@@ -205,6 +206,8 @@ PROBES = {
                     lambda mp, over: sample_rate(0.5, 2**63 - 1 + over, seed=0)),
     "p_eq_closed_form": ("FLOAT_CLOSED_FORM_MAX_K", 516,
                          lambda mp, over: p_eq_closed_form(516 + over, 0.5)),
+    "p_eq_upper_bound": ("FLOAT_UPPER_BOUND_MAX_K", 2**13,
+                         lambda mp, over: p_eq_upper_bound(2**13 + over, 0.999)),
     "run_experiment-k": ("MAX_REPETITIONS", 2**22, repetitions),
     "run_experiment-trials": ("MAX_TRIALS", 2**24, trials),
     "audit_overlaps": ("AUDIT_MAX_COUNT", 2**14, audit_count),

@@ -228,6 +228,25 @@ class TestBounds:
         assert p_eq_upper_bound(10**5, 0.5) == 0.0
         assert time.perf_counter() - start < 0.01
 
+    def test_upper_bound_float_returns_or_raises_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match="FLOAT_UPPER_BOUND_MAX_K"):
+            p_eq_upper_bound(10**5, 0.999)
+        assert time.perf_counter() - start < 0.05
+
+    # (1 + delta)/2 is read from the float's integer ratio: the bits are the
+    # exact value's, rounded once, at the ends of the range, a subnormal, -0.0,
+    # a numpy float and k up to the CLI's 516
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 17, 516])
+    @pytest.mark.parametrize("delta", [
+        -1.0, -0.999, -0.5, -5e-324, -0.0, 0.0, 2.0**-60, 1 / 3, 0.3,
+        np.float64(0.7), 0.999999, 1.0])
+    def test_float_bounds_match_exact_grid(self, k, delta):
+        p = (1 + Fraction(float(delta))) / 2
+        upper = prefactor(k) * (2 * p) ** (2 * k)
+        assert p_eq_upper_bound(k, delta) == float(upper)
+        assert distinguisher_lower_bound(k, delta) == float(p ** (2 * k) / 4)
+
     # each delta with the first k at which its float bound underflows to 0.0
     @pytest.mark.parametrize("delta, first", [
         (0.0, 541), (0.1, 627), (0.5, 1303), (0.8, 3559), (-0.5, 270)])

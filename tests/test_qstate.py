@@ -180,6 +180,16 @@ class TestPureState:
         with pytest.raises(DomainError):
             PureState(np.array([1.0, 1.0]), (2,))
 
+    # the tolerance sits between a norm off by 1e-9 (refused) and the rounding
+    # of a sum of squares, far below 1e-12 (accepted)
+    def test_norm_tolerance(self):
+        from qfplab import DomainError
+
+        with pytest.raises(DomainError, match="not normalized"):
+            PureState(np.array([np.sqrt(1 + 1e-9), 0.0]), (2,))
+        state = PureState(np.array([np.sqrt(1 + 1e-14), 0.0]), (2,))
+        assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1) > 5e-15
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InputShapeError):
             PureState(np.array([1.0, 0.0]), (3,))
