@@ -450,6 +450,29 @@ def test_weight_distribution_peak_memory_near_generator_size():
     assert peak <= 5 * generator.nbytes
 
 
+def test_agreement_chunks_stay_within_their_word_budget():
+    # n = 70 packs each message into two words, so a chunk of
+    # floor(2^14 / (m words)) = 58 pairs holds 2^14 uint64 words of
+    # (pairs, m, words) intermediates, with their uint8 popcounts; a chunk
+    # of floor(2^14 / m) = 117 pairs would hold twice that
+    code = random_linear_code(70, 2, seed=1)
+    rng = np.random.default_rng(5)
+    x, y = (_packed_words(bits) for bits in
+            rng.integers(0, 2, (2, 4096, 70), dtype=np.uint8))
+    assert x.shape == (4096, 2)
+    tracemalloc.start()
+    try:
+        agree = _agreements(code, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert agree.shape == (4096,)
+    # numpy's iterator buffers two operands of the broadcast AND; the
+    # chunks' int64 counts are held twice, as a list and concatenated
+    bound = (1 << 14) * (8 + 1) + 2 * np.getbufsize() * 8 + 2 * 4096 * 8
+    assert peak <= bound + 16 * 1024
+
+
 class TestAgreementFraction:
     def test_identical_messages(self):
         assert agreement_fraction(hadamard_code(3), "101", "101") == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qfplab.swaptest
@@ -64,17 +64,19 @@ def assert_closed_form_state(phi, psi):
 def perturb_amplitude(monkeypatch, index, change):
     """Make the circuit's block generator pass on one changed amplitude.
 
-    ``index`` is (branch, row, column) in the (2, D, D) evolved state.
+    ``index`` is (branch, row, column) in the (2, |S|, |S|) evolved state on
+    S x S, S being the indices where either input is nonzero (for dense
+    inputs, the (2, D, D) state).
     """
     evolve = qfplab.swaptest._evolved_blocks
     branch, row, col = index
 
     def perturbed(phi, psi):
-        for rows, evolved, half_fwd, half_rev in evolve(phi, psi):
+        for support, rows, evolved, half_fwd, half_rev in evolve(phi, psi):
             if rows.start <= row < rows.stop:
                 at = (branch, row - rows.start, col)
                 evolved[at] = change(evolved[at])
-            yield rows, evolved, half_fwd, half_rev
+            yield support, rows, evolved, half_fwd, half_rev
 
     monkeypatch.setattr(qfplab.swaptest, "_evolved_blocks", perturbed)
 
@@ -107,16 +109,23 @@ REAL_PAIRS = [pytest.param(*hadamard_pair(n), id=f"hadamard-n{n}")
                  id=f"real-dim{dim}") for dim in (3, 129, 300, 1024)]
 
 
-def blocked_p_one(joint):
-    """p(1) of a (2, D, D) state, summed over the circuit's row blocks."""
-    d = joint.shape[1]
-    height = max(1, qfplab.swaptest._BLOCK // d)
-    return min(0.5, sum(float(np.sum(np.square(np.abs(joint[1, r:r + height]))))
-                        for r in range(0, d, height)))
+def support_of(phi, psi):
+    """S: the indices where phi or psi is nonzero."""
+    return np.flatnonzero((phi.amplitudes != 0) | (psi.amplitudes != 0))
+
+
+def blocked_p_one(phi, psi):
+    """p(1) of the dense complex128 evolution, summed over the circuit's row
+    blocks of S x S."""
+    support = support_of(phi, psi)
+    one = dense_gates(phi, psi)[1][np.ix_(support, support)]
+    height = max(1, qfplab.swaptest._BLOCK // support.size)
+    return min(0.5, sum(float(np.sum(np.square(np.abs(one[r:r + height]))))
+                        for r in range(0, support.size, height)))
 
 
 def evolved_dtype(phi, psi):
-    return next(qfplab.swaptest._evolved_blocks(phi, psi))[1].dtype
+    return next(qfplab.swaptest._evolved_blocks(phi, psi))[2].dtype
 
 
 def traced_peak(call):
@@ -250,7 +259,7 @@ class TestRealCircuit:
     def test_p_one_equals_the_complex_evolution_bit_for_bit(self, phi, psi):
         # dense_gates evolves the complex128 amplitudes
         assert swap_test_circuit(phi, psi).p_one.hex() == \
-            blocked_p_one(dense_gates(phi, psi)).hex()
+            blocked_p_one(phi, psi).hex()
 
     def test_complex_amplitude_takes_the_complex_path(self):
         phi, psi = hadamard_pair(3)
@@ -261,9 +270,92 @@ class TestRealCircuit:
         assert np.array_equal(swap_test_circuit_state(phi, psi),
                               dense_gates(phi, psi))
         assert swap_test_circuit(phi, psi).p_one.hex() == \
-            blocked_p_one(dense_gates(phi, psi)).hex()
+            blocked_p_one(phi, psi).hex()
         assert abs(swap_test_circuit(phi, psi).p_one
                    - swap_test_analytic(phi, psi).p_one) <= 1e-10
+
+
+def masked_state(rng, keep, complex_amplitudes):
+    """A normalized state that is zero wherever ``keep`` is False."""
+    amps = rng.standard_normal(keep.size)
+    if complex_amplitudes:
+        amps = amps + 1j * rng.standard_normal(keep.size)
+    amps = np.where(keep, amps, 0)
+    return PureState(amps / np.linalg.norm(amps), (keep.size,))
+
+
+def masks(rng, dim, layout):
+    """Nonempty zero masks of phi and psi: independent, disjoint, or with
+    psi zero wherever phi is and at some indices where phi is not."""
+    keep_phi = rng.random(dim) < rng.uniform(0.05, 1.0)
+    keep_phi[rng.integers(dim)] = True
+    if layout == "disjoint":
+        if keep_phi.all():
+            keep_phi[rng.integers(dim)] = False
+        return keep_phi, ~keep_phi
+    keep_psi = rng.random(dim) < rng.uniform(0.05, 1.0)
+    if layout == "nested":
+        keep_psi &= keep_phi
+        keep_psi[np.flatnonzero(keep_phi)[0]] = True
+    else:
+        keep_psi[rng.integers(dim)] = True
+    return keep_phi, keep_psi
+
+
+class TestSupport:
+    """The circuit evolves S x S only, S being where phi or psi is nonzero."""
+
+    @settings(max_examples=40)
+    @given(dim=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           layout=st.sampled_from(["independent", "disjoint", "nested"]),
+           complex_amplitudes=st.booleans())
+    @example(dim=1, seed=0, layout="independent", complex_amplitudes=False)
+    @example(dim=2, seed=1, layout="disjoint", complex_amplitudes=True)
+    @example(dim=300, seed=2, layout="disjoint", complex_amplitudes=False)
+    @example(dim=129, seed=3, layout="nested", complex_amplitudes=True)
+    def test_support_path_matches_dense_gates_and_closed_form(
+            self, dim, seed, layout, complex_amplitudes):
+        assume(dim > 1 or layout != "disjoint")
+        rng = np.random.default_rng(seed)
+        keep_phi, keep_psi = masks(rng, dim, layout)
+        phi = masked_state(rng, keep_phi, complex_amplitudes)
+        psi = masked_state(rng, keep_psi, complex_amplitudes)
+        assert evolved_dtype(phi, psi) == (np.complex128 if complex_amplitudes
+                                           else np.float64)
+        joint = swap_test_circuit_state(phi, psi)
+        assert np.array_equal(joint, dense_gates(phi, psi))
+        outside = ~(keep_phi | keep_psi)
+        assert not joint[:, outside].any() and not joint[:, :, outside].any()
+        assert abs(swap_test_circuit(phi, psi).p_one
+                   - swap_test_analytic(phi, psi).p_one) <= 1e-10
+        width = np.count_nonzero(~outside)
+        index = (int(rng.integers(2)), *map(int, rng.integers(width, size=2)))
+        for shift in (1e-9, -1e-9):
+            with pytest.MonkeyPatch.context() as patch:
+                perturb_amplitude(patch, index, lambda z: z + shift)
+                with pytest.raises(ArithmeticError):
+                    swap_test_circuit(phi, psi)
+
+    def test_sparse_real_circuit_stays_within_its_block_buffers(self):
+        phi, psi = hadamard_pair(9)  # D = 1024, |S| = 1.5 m = 768
+        width = support_of(phi, psi).size
+        assert (phi.dim, width) == (1024, 768)
+        height = qfplab.swaptest._BLOCK // width
+        # products, evolved rows and diff, 5 x 21 x 768 float64
+        buffers = 5 * height * width * 8
+        # numpy's iterator buffers two operands of a broadcast product, and
+        # S and the inputs on it take a few D-length vectors
+        slack = 2 * np.getbufsize() * 8 + 8 * phi.dim * 8
+        assert traced_peak(lambda: swap_test_circuit(phi, psi)) <= buffers + slack
+
+    def test_guard_reads_the_full_dimension_not_the_support(self):
+        # |S| = 2 either way: 2 * 1448^2 is within 2^22, 2 * 1449^2 is not
+        p_one = swap_test_circuit(basis_state(1448, 0), basis_state(1448, 1)).p_one
+        assert p_one == pytest.approx(0.5, abs=1e-10)
+        phi, psi = basis_state(1449, 0), basis_state(1449, 1)
+        for oracle in (swap_test_circuit, swap_test_circuit_state):
+            with pytest.raises(CapabilityError, match="MAX_STATE_DIM"):
+                oracle(phi, psi)
 
 
 def analytic_p_one(phi, psi):
