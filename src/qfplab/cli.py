@@ -3,7 +3,9 @@
 Subcommands: swap-test, perm-test, smp-run, nearset, codes.  JSON is the
 canonical output format; CSV is a flat projection that only smp-run
 offers.  Exit codes: 0 success, 2 usage or configuration error, 3
-capability-guard error.
+capability-guard error.  An argv that opens with a subcommand's name is
+parsed by that subcommand's parser alone, in one pass; the top-level parser
+reads ``--version``, ``-h`` and a missing or unknown subcommand.
 """
 
 from __future__ import annotations
@@ -353,10 +355,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace ``build_parser().parse_args(argv)`` gives, in one pass.
+
+    A subcommand's parser reads the rest of argv either way, so when argv
+    opens with a subcommand's name its parser alone reads the rest; the top
+    level parser reads everything else (``--version``, ``-h``, or a missing
+    or unknown subcommand).
+    """
     parser = build_parser()
+    subcommands = next(action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    if argv and argv[0] in subcommands:
+        args = subcommands[argv[0]].parse_args(argv[1:])
+        args.subcommand = argv[0]
+        return args
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

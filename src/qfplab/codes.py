@@ -18,8 +18,13 @@ once a lower bound on every codeword not yet formed meets the lightest one
 found, and which hands a small code, or one whose bound would need too many
 levels, to one numpy pass over span tables of all 2^n codewords (no weight
 histogram is built either way).
-Agreement fractions are exact rationals throughout; hadamard agreements are
-in closed form.
+Codewords have two kernels.  A hadamard bit i is the parity of
+popcount(i & x), and hadamard agreements are in closed form.  A code with a
+generator packs its columns once, on the code, and reads E(x) from one
+table per message byte: the 2^8 XORs of the codewords of that byte's
+columns (the "Four Russians" method), so E(x) is one row per byte, XORed,
+and an agreement is m - popcount(E(x XOR y)).  A declared encoder runs per
+message.  Agreement fractions are exact rationals throughout.
 """
 
 from __future__ import annotations
@@ -67,18 +72,17 @@ def _check_bits(s: str, n: int, name: str) -> str:
     return s
 
 
-def _gf2_rank(generator: np.ndarray, limit: int) -> int:
-    """GF(2) rank of a 0/1 matrix's rows, read lazily until it reaches ``limit``."""
-    pivots: list[int] = []
-    for row in _row_ints(generator):
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-            if len(pivots) == limit:
-                break
-    return len(pivots)
+def _gf2_rank(columns: np.ndarray) -> int:
+    """GF(2) rank of packed generator columns: the size of an XOR basis of
+    their ints, one per column, each basis int keyed by its highest bit."""
+    basis: dict[int, int] = {}
+    for words in columns.astype("<u8", copy=False):
+        column = int.from_bytes(words.tobytes(), "little")
+        while column and (top := column.bit_length()) in basis:
+            column ^= basis[top]
+        if column:
+            basis[top] = column
+    return len(basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,13 +136,13 @@ class BinaryCode:
                 raise DomainError(f"{self.kind} codes do not read {name}")
         if self.generator is not None:
             raw = np.asarray(self.generator)
-            if raw.shape != (self.m, self.n) or not np.isin(raw, (0, 1)).all():
+            if raw.shape != (self.m, self.n) or not ((raw == 0) | (raw == 1)).all():
                 raise InputShapeError(
                     f"generator must be an (m, n)={self.m, self.n} 0/1 matrix"
                 )
             g = raw.astype(np.uint8, copy=False)
             object.__setattr__(self, "generator", g)
-            if _gf2_rank(g, self.n) != self.n:
+            if _gf2_rank(self._columns) != self.n:
                 raise _NotInjective(
                     "generator is not injective: some nonzero message encodes to 0"
                 )
@@ -149,9 +153,20 @@ class BinaryCode:
             object.__setattr__(self, "declared_delta", d)
 
     @cached_property
-    def _rows(self) -> np.ndarray:
-        """Generator rows as (m, ceil(n/64)) uint64 words, packed once."""
-        return _packed_words(self.generator)
+    def _columns(self) -> np.ndarray:
+        """Generator columns as (n, ceil(m/64)) uint64 words, packed once:
+        the codewords of the n unit messages, codeword bit 0 the most
+        significant."""
+        return _packed_words(self.generator.T)
+
+    @cached_property
+    def _lanes(self) -> list[np.ndarray]:
+        """One (2^k, ceil(m/64)) table per message byte: row s of table q is
+        the XOR of the codewords of the bits set in s, bit t of byte q being
+        bit 8q + t of int(x, 2), so column n - 1 - 8q - t."""
+        columns = self._columns[::-1]
+        return [np.ascontiguousarray(_span(columns[q:q + 8]).T)
+                for q in range(0, self.n, 8)]
 
     @property
     def is_linear(self) -> bool:
@@ -170,8 +185,13 @@ class BinaryCode:
         if self.seed is not None:
             out["seed"] = self.seed
         if self.generator is not None:
-            out["generator"] = [format(row, f"0{(self.n + 3) // 4}x")
-                                for row in _row_ints(self.generator)]
+            # each row's bytes high first spell its hex digits, column 1 in
+            # the low bit; a digit above the row's width is always 0
+            rows = np.packbits(self.generator, axis=1, bitorder="little")
+            text, step = rows[:, ::-1].tobytes().hex(), 2 * rows.shape[1]
+            skip = step - (self.n + 3) // 4
+            out["generator"] = [text[i + skip:i + step]
+                                for i in range(0, len(text), step)]
         if self.declared_delta is not None:
             out["declared_delta"] = str(self.declared_delta)
         return out
@@ -279,12 +299,6 @@ def _packed_words(bits: np.ndarray) -> np.ndarray:
     return words.astype(np.uint64, copy=False)
 
 
-def _row_ints(bits: np.ndarray):
-    """Each row of a 0/1 matrix as a Python int, column 1 in the low bit."""
-    return (int.from_bytes(words.tobytes(), "little")
-            for words in _packed_words(bits[:, ::-1]).astype("<u8", copy=False))
-
-
 def _words(x: str) -> np.ndarray:
     """A bit-string as ``_packed_words`` lays it out: the words of int(x, 2)."""
     size = 8 * -(-len(x) // 64)
@@ -297,25 +311,39 @@ def _declared_word(code: BinaryCode, words: np.ndarray) -> np.ndarray:
     return _bit_row(_check_bits(word, code.m, f"declared codeword of x={x!r}"))
 
 
+def _encoded_words(code: BinaryCode, z: np.ndarray) -> np.ndarray:
+    """E(z) of each row of a message-word batch as (B, ceil(m/64)) words,
+    laid out as ``BinaryCode._columns``: the XOR over the message bytes q
+    of row (byte q of z) of lane table q."""
+    lanes = np.ascontiguousarray(z, dtype="<u8").view(np.uint8)
+    tables = code._lanes
+    words = tables[0][lanes[:, 0]]
+    for q in range(1, len(tables)):
+        words ^= tables[q][lanes[:, q]]
+    return words
+
+
 def _codeword_bits(code: BinaryCode, x) -> np.ndarray:
     """All m codeword bits of each message, uint8: the one codeword builder.
 
     ``x`` is one bit-string, or a (B, ceil(n/64)) uint64 batch of message
-    words laid out as ``_words`` lays out one message.  For linear codes bit
-    i is the parity of popcount(row_i & x), where row_i is generator row i,
-    packed once per code (for hadamard, row_i is i itself), in one pass with
-    no chunking.  Declared encoders run per message, on its bit-string.
-    More than ``guards.CODEWORD_MAX_BITS`` bits in all raise before any is built.
+    words laid out as ``_words`` lays out one message.  A hadamard bit i is
+    the parity of popcount(i & x); a generator code reads its codewords from
+    ``_encoded_words``, one table row per message byte.  Declared encoders
+    run per message, on its bit-string.  More than
+    ``guards.CODEWORD_MAX_BITS`` bits in all raise before any is built.
     """
     if isinstance(x, str):
         return _codeword_bits(code, _words(x)[None])[0]
     check("CODEWORD_MAX_BITS", len(x) * code.m, "codeword bits, messages x m")
+    if code.kind == HADAMARD:
+        return np.bitwise_count(np.arange(code.m, dtype=np.uint64) & x) & 1
     if not code.is_linear:
         return np.stack([_declared_word(code, row) for row in x])
-    rows = (np.arange(code.m, dtype=np.uint64)[:, None] if code.kind == HADAMARD
-            else code._rows)
-    counts = np.bitwise_count(rows & x[:, None, :])
-    return np.bitwise_xor.reduce(counts, axis=-1) & 1
+    words = _encoded_words(code, x).astype("<u8", copy=False)
+    # codeword bit i is bit m - 1 - i of the words
+    return np.unpackbits(words.view(np.uint8), axis=1, count=code.m,
+                         bitorder="little")[:, ::-1]
 
 
 def encode(code: BinaryCode, x: str) -> str:
@@ -342,22 +370,20 @@ def _agreements(code: BinaryCode, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Agreeing-position count of each row pair of two message-word batches.
 
     Hadamard codewords of distinct messages agree on exactly m/2 positions,
-    so no codeword is built (uint64, since m = 2^63 at n = 63).  Other codes
-    build codewords for ⌊2^14/(m·words)⌋ pairs at a time (int64), within
-    2^14 words of (B, m, words) intermediates.  By linearity E(x) and E(y)
-    agree where E(x XOR y) is 0, so a linear code builds one per pair.
+    so no codeword is built (uint64, since m = 2^63 at n = 63).  By
+    linearity E(x) and E(y) agree where E(x XOR y) is 0, so a generator
+    code counts m - popcount(E(x XOR y)) (int64).  A declared encoder
+    compares the two codewords of each pair, one pair at a time.
     """
     if code.kind == HADAMARD:
         return np.where((x == y).all(axis=1), np.uint64(code.m),
                         np.uint64(code.m // 2))
-    step = max(1, (1 << 14) // (code.m * x.shape[1]))
-    counts = []
-    for t in range(0, len(x), step):
-        xs, ys = x[t:t + step], y[t:t + step]
-        same = (_codeword_bits(code, xs ^ ys) == 0 if code.is_linear
-                else _codeword_bits(code, xs) == _codeword_bits(code, ys))
-        counts.append(same.sum(axis=1, dtype=np.int64))
-    return np.concatenate(counts)
+    if not code.is_linear:
+        return np.array([np.count_nonzero(_declared_word(code, a)
+                                          == _declared_word(code, b))
+                         for a, b in zip(x, y)], dtype=np.int64)
+    weights = np.bitwise_count(_encoded_words(code, x ^ y))
+    return code.m - weights.sum(axis=1, dtype=np.int64)
 
 
 def agreement_fraction(code: BinaryCode, x: str, y: str) -> Fraction:
@@ -408,8 +434,7 @@ def _codeword_weights(code: BinaryCode):
     0 of the first chunk is the zero codeword.  Weights are summed in uint8
     while every weight fits (m < 256).
     """
-    # the generator columns are the codewords of the n unit messages
-    columns = _packed_words(code.generator.T)
+    columns = code._columns
     low = min(code.n, max(0, (_TABLE_WORDS // columns.shape[1]).bit_length() - 1))
     table = _span(columns[:low])
     dtype = np.uint8 if code.m < 256 else np.intp
@@ -481,7 +506,7 @@ def _information_set_min_weight(code: BinaryCode, budget: int) -> int | None:
     """
     words, n = -(-code.m // 64), code.n
     # the generator columns, the codewords of the unit messages, one per slot
-    unit = _packed_words(code.generator.T).astype("<u8", copy=False)
+    unit = code._columns.astype("<u8", copy=False)
     block = int.from_bytes(unit.tobytes(), "little")
     free = (1 << code.m) - 1  # rows that no earlier set took
     defects, blocks, least = [], [], code.m

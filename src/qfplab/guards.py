@@ -50,8 +50,9 @@ GUARDS = {
     # one uniform whatever k or r.
     "MAX_REPETITIONS": 1 << 22,
     # Work guard on trials, checked before any runs: a run at the bound takes
-    # about 1 s for hadamard codes and 5 s for random-linear n = 20 on a 2-core
-    # box (the largest count in use is 10^6).
+    # about 0.7 s for hadamard n = 8 (quantum, k = 5) and 0.6 s for
+    # random-linear n = 20, c = 3 (shared-key, r = 10) on a 2-core box (the
+    # largest count in use is 10^6).
     "MAX_TRIALS": 1 << 24,
     # Pairwise audits touch count*(count-1)/2 inner products; an audit of 2^14
     # vectors at d = 1 takes about 0.3 s single-threaded on a 2-core box.

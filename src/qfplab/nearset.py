@@ -321,8 +321,10 @@ def _pair_numerators(seed, size: int, d: int) -> np.ndarray:
     # v fills the first half of the uint32 words, w the second
     words = raw.astype("<u8", copy=False).view("<u4")
     diff = words[:raw.size] ^ words[raw.size:]
-    below_word = np.zeros(raw.size + 1, dtype=np.int64)
-    np.cumsum(np.bitwise_count(diff), dtype=np.int64, out=below_word[1:])
+    # int32 is exact: MAX_COORDINATES bounds a block at 2 size d <= 2^23
+    # coordinates, so v ^ w holds at most 2^22 set bits
+    below_word = np.zeros(raw.size + 1, dtype=np.int32)
+    np.cumsum(np.bitwise_count(diff), dtype=np.int32, out=below_word[1:])
     offsets = np.arange(size + 1, dtype=np.int64) * d
     index, shift = offsets >> 5, (offsets & 31).astype(np.uint32)
     # an offset on the end of the words has shift 0, so its clipped edge

@@ -14,7 +14,8 @@ A seeded block engine runs trials in blocks, one generator per block: a
 block's inputs are arrays, and each verdict is one uniform draw against
 the protocol's accept law at the pair's exact codeword agreement.  Messages
 stay (B, ceil(n/64)) uint64 words, the layout of ``codes._words``, from draw
-to verdict.  Reports carry the same law at the certified agreement bound.
+to verdict: each is drawn as raw ``PCG64`` words, with no bounded-integer
+call.  Reports carry the same law at the certified agreement bound.
 ``_PROTOCOLS`` is each protocol's one record: the repetition count it reads,
 its ``message_costs`` entry and its accept law, each stated there once.
 """
@@ -140,17 +141,18 @@ def _sample_pairs(rng: np.random.Generator, pair_source: str, n: int, size: int,
                   t0: int, table) -> tuple[np.ndarray, np.ndarray]:
     """Inputs of trials t0 .. t0+size-1 as two (size, ceil(n/64)) word arrays.
 
-    Each message is ceil(n/64) full-range uint64 words with the top word
+    Each message is ceil(n/64) raw ``PCG64`` words, the words that
+    ``integers(0, 2**64, dtype=np.uint64)`` would return, with the top word
     masked to n bits.  x is drawn first, then y; under ``forced-unequal``
     the rows where y equals x are redrawn, until none is left.
     """
     if pair_source == "adversarial-list":
         rows = (t0 + np.arange(size)) % len(table[0])
         return table[0][rows], table[1][rows]
-    top = np.uint64(2**64 - 1 >> -n % 64)
+    top, width = np.uint64(2**64 - 1 >> -n % 64), -(-n // 64)
 
     def draw(rows):
-        words = rng.integers(0, 2**64, (rows, -(-n // 64)), dtype=np.uint64)
+        words = rng.bit_generator.random_raw(rows * width).reshape(rows, width)
         words[:, -1] &= top
         return words
 
@@ -161,7 +163,7 @@ def _sample_pairs(rng: np.random.Generator, pair_source: str, n: int, size: int,
     if pair_source == "forced-unequal":
         same = (x == y).all(axis=1)
         while same.any():
-            y[same] = draw(int(same.sum()))
+            y[same] = draw(np.count_nonzero(same))
             same = (x == y).all(axis=1)
     return x, y
 
@@ -251,9 +253,9 @@ def run_experiment(
                              min(BLOCK, trials - t0), t0, table)
         accept = _block_accepts(law, code, x, y, rng, reps)
         equal = (x == y).all(axis=1)
-        n_equal += int(equal.sum())
-        wrong_equal += int((equal & ~accept).sum())
-        wrong_unequal += int((~equal & accept).sum())
+        n_equal += int(np.count_nonzero(equal))
+        wrong_equal += int(np.count_nonzero(equal > accept))
+        wrong_unequal += int(np.count_nonzero(accept > equal))
     n_unequal = trials - n_equal
 
     err_eq = wrong_equal / n_equal if n_equal else None

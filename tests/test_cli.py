@@ -548,6 +548,38 @@ def test_every_flag_value_exits_0_2_or_3_in_time(argv):
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_CAPABILITY)
 
 
+def parse_outcome(parse, argv):
+    """The namespace's fields, or the exit code, of one parse, silenced."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=200)
+@given(argv=subcommand_argv())
+@example(argv=["smp-run", "-h"])
+@example(argv=["codes", "--n", "3", "--version"])
+@example(argv=["codes", "--n", "3", "--", "--seed", "1"])
+def test_dispatch_builds_the_top_level_namespace(argv):
+    # main hands argv past a subcommand's name to that subcommand's parser
+    # alone; the namespace, or the exit, is the full parser's
+    assert parse_outcome(qfplab.cli._parse, argv) == \
+        parse_outcome(qfplab.cli.build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], EXIT_USAGE), (["--version"], EXIT_OK), (["-h"], EXIT_OK),
+    (["bogus"], EXIT_USAGE), (["--n", "3", "codes"], EXIT_USAGE),
+])
+def test_top_level_exits(argv, code):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == code
+
+
 class TestCodesCommand:
     def test_certificate(self, tmp_path):
         report = run_json(tmp_path, ["codes", "--code", "hadamard", "--n", "4"])

@@ -27,6 +27,7 @@ from qfplab import (
 from qfplab.codes import (
     _agreements,
     _codeword_bits,
+    _gf2_rank,
     _information_set_min_weight,
     _min_weight,
     _packed_words,
@@ -168,8 +169,7 @@ class TestBatchKernel:
         for name, code in BIT_KERNEL_CODES.items() if code.is_linear
     ] + [pytest.param(random_linear_code(70, 2, seed=1), id="random-linear70")])
     def test_batches_past_one_chunk_match_the_oracle(self, code):
-        # 2000 pairs span several of _agreements' 2^14-word chunks; the
-        # builder itself takes all 2000 messages in one pass
+        # the builder and _agreements take all 2000 messages in one pass
         rng = np.random.default_rng(4)
         x, y = rng.integers(0, 2, (2, 2000, code.n), dtype=np.uint8)
         ex, ey = (np.array([reference_codeword(code, "".join(map(str, row)))
@@ -198,6 +198,67 @@ def test_one_builder_on_random_generators(n, c, seed):
                                          _packed_words(x)).tolist()
     weights = [reference_codeword(code, "".join(map(str, z))).sum() for z in x ^ y]
     assert agree.tolist() == [code.m - w for w in weights]
+
+
+def reference_rank(generator):
+    """GF(2) row rank by Gaussian elimination on the uint8 rows."""
+    rows, rank = generator.copy(), 0
+    for col in range(rows.shape[1]):
+        pivots = np.flatnonzero(rows[rank:, col])
+        if pivots.size:
+            rows[[rank, rank + pivots[0]]] = rows[[rank + pivots[0], rank]]
+            below = np.flatnonzero(rows[:, col])
+            rows[below[below != rank]] ^= rows[rank]
+            rank += 1
+    return rank
+
+
+def message_words(bits):
+    """(B, n) message bits as words of int(x, 2), from Python ints."""
+    width = -(-bits.shape[1] // 64)
+    values = [int("".join(map(str, row)), 2) for row in bits]
+    return np.array([[v >> 64 * w & (2**64 - 1) for w in range(width)]
+                     for v in values], dtype=np.uint64)
+
+
+# The byte-table kernel against a GF(2) product on the uint8 generator: every
+# message byte's lane, with n % 8 != 0, n = 64 and n = 65 (one and two
+# message words), m past 64 (several codeword words), and generators of any
+# rank, whose rank check must match a row rank.
+@settings(max_examples=60)
+@given(n=st.integers(1, 70), c=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random-linear", "declared"]),
+       deficient=st.booleans())
+@example(n=64, c=2, seed=1, kind="random-linear", deficient=False)
+@example(n=65, c=4, seed=2, kind="declared", deficient=False)
+@example(n=70, c=4, seed=3, kind="random-linear", deficient=True)
+@example(n=9, c=3, seed=4, kind="declared", deficient=True)
+def test_lane_tables_match_a_gf2_product(n, c, seed, kind, deficient):
+    rng = np.random.default_rng(seed)
+    m = c * n
+    generator = rng.integers(0, 2, (m, n), dtype=np.uint8)
+    if deficient:  # one column the XOR of some others (of none: zero)
+        i = rng.integers(n)
+        others = [j for j in rng.permutation(n)[:rng.integers(n)] if j != i]
+        generator[:, i] = np.bitwise_xor.reduce(generator[:, others], axis=1)
+    rank = reference_rank(generator)
+    assert _gf2_rank(_packed_words(generator.T)) == rank
+    if rank < n:
+        with pytest.raises(DomainError, match="injective"):
+            BinaryCode(kind=kind, n=n, m=m, generator=generator)
+        return
+    code = BinaryCode(kind=kind, n=n, m=m, generator=generator)
+    x, y = rng.integers(0, 2, (2, 6, n), dtype=np.uint8)
+    y[0] = x[0]
+    ex, ey = (generator.astype(np.int64) @ bits.T.astype(np.int64) % 2
+              for bits in (x, y))
+    assert np.array_equal(_codeword_bits(code, message_words(x)), ex.T)
+    agree = _agreements(code, message_words(x), message_words(y))
+    assert agree.tolist() == (ex == ey).sum(axis=0).tolist()
+    for row_x, row_y, a, word in zip(x, y, agree, ex.T):
+        sx, sy = ("".join(map(str, row)) for row in (row_x, row_y))
+        assert encode(code, sx) == "".join(map(str, word))
+        assert agreement_fraction(code, sx, sy) == Fraction(int(a), m)
 
 
 class TestCertifyDistance:
@@ -450,11 +511,13 @@ def test_weight_distribution_peak_memory_near_generator_size():
     assert peak <= 5 * generator.nbytes
 
 
-def test_agreement_chunks_stay_within_their_word_budget():
-    # n = 70 packs each message into two words, so a chunk of
-    # floor(2^14 / (m words)) = 58 pairs holds 2^14 uint64 words of
-    # (pairs, m, words) intermediates, with their uint8 popcounts; a chunk
-    # of floor(2^14 / m) = 117 pairs would hold twice that
+def test_agreements_stay_within_their_word_budget():
+    # n = 70, c = 2 packs each message into two words and each codeword into
+    # three, over nine message bytes.  A full block holds the 4096 x 2 words
+    # of x ^ y, the 4096 x 3 words of E(x ^ y) and as many of the rows
+    # gathered from one lane table, that lane's 4096 intp indices and the
+    # (8 * 256 + 64) x 3 words of the lane tables: 345,600 bytes, with no
+    # (pairs, m, words) intermediate
     code = random_linear_code(70, 2, seed=1)
     rng = np.random.default_rng(5)
     x, y = (_packed_words(bits) for bits in
@@ -467,10 +530,7 @@ def test_agreement_chunks_stay_within_their_word_budget():
     finally:
         tracemalloc.stop()
     assert agree.shape == (4096,)
-    # numpy's iterator buffers two operands of the broadcast AND; the
-    # chunks' int64 counts are held twice, as a list and concatenated
-    bound = (1 << 14) * (8 + 1) + 2 * np.getbufsize() * 8 + 2 * 4096 * 8
-    assert peak <= bound + 16 * 1024
+    assert peak <= 360_448
 
 
 class TestAgreementFraction:

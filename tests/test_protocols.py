@@ -31,6 +31,7 @@ from qfplab.codes import _weight_distribution
 from qfplab.guards import GUARDS
 from qfplab.protocols import (
     BLOCK,
+    PAIR_SOURCES,
     _sample_pairs,
     _swap_p_one,
     accept_probability,
@@ -378,6 +379,41 @@ class TestMessageWords:
             seen = np.bitwise_or.reduce(np.concatenate([x, y]), axis=0)
             assert int.from_bytes(seen.astype("<u8").tobytes(), "little") \
                 == 2**n - 1
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("source", PAIR_SOURCES)
+    def test_words_are_masked_bounded_integers(self, n, source):
+        # the documented stream: each draw is rows of full-range
+        # Generator.integers uint64 words, the top word masked to n bits; at
+        # n = 1 half the forced-unequal rows are redrawn, some more than once
+        size, width = 300, -(-n // 64)
+        top = np.uint64(2**64 - 1 >> 64 * width - n)
+        ref = np.random.default_rng(n)
+        table = None
+        if source == "adversarial-list":  # draws nothing
+            table = tuple(np.random.default_rng(0).integers(
+                0, 2, (2, 7, width), dtype=np.uint64))
+
+        def draw(rows):
+            words = ref.integers(0, 2**64, (rows, width), dtype=np.uint64)
+            words[:, -1] &= top
+            return words
+
+        redraws = 0
+        if source == "adversarial-list":
+            ex, ey = (side[np.arange(size) % 7] for side in table)
+        else:
+            ex = draw(size)
+            ey = ex if source == "forced-equal" else draw(size)
+            while source == "forced-unequal" and (same := (ex == ey).all(1)).any():
+                redraws += 1
+                ey[same] = draw(int(same.sum()))
+        rng = np.random.default_rng(n)
+        x, y = _sample_pairs(rng, source, n, size, 0, table)
+        assert np.array_equal(x, ex) and np.array_equal(y, ey)
+        assert (redraws > 1) == (source == "forced-unequal" and n == 1)
+        # and the block's uniforms come next from the same state
+        assert np.array_equal(rng.random(4), ref.random(4))
 
     def test_two_word_messages_run_end_to_end(self):
         # n = 70 takes two words per message, and the declared bound skips
